@@ -11,9 +11,11 @@ per-annotation scores of the reference's verifier output).
 Built on the incremental path's frozen-stats attach
 (pipelines/incremental.py): the single conversation is canonicalized,
 featurized and blocked exactly like a batch of one, scored with the
-BASE run's broadcast statistics, and connected-components runs over the
-base label edges plus the new match edges — so a transcript that
-bridges two base clusters merges them, exactly as a full rerun would.
+BASE run's broadcast statistics, and ``recluster`` re-labels the base
+clusters it touches — so a transcript that bridges two base clusters
+merges them, exactly as a full rerun would.  A transcript whose conv_id
+the base already holds replaces that conversation and re-links it (the
+incremental upsert contract).
 
 Cost shape: O(base features in TOUCHED blocks) — the probe broadcast
 semi-filter keeps every untouched base block out of the pair exchange,
@@ -77,10 +79,7 @@ def link_one(transcript, base: LinkageResult,
     turns = _as_turns_table(transcript)
     conv_id = turns["conv_id"][0].as_py()
 
-    # sort_output=False: this call only FILTERS the assignment table,
-    # so the final O(corpus) conv_id sort would be pure overhead
-    inc = run_incremental(base, ray.data.from_arrow(turns), cfg,
-                          sort_output=False)
+    inc = run_incremental(base, ray.data.from_arrow(turns), cfg)
 
     pairs = inc.scored.to_pandas()
     if "conv_a" not in pairs.columns:      # no candidate pair at all —
@@ -92,29 +91,14 @@ def link_one(transcript, base: LinkageResult,
     mine = pairs[(pairs["conv_a"] == conv_id)
                  | (pairs["conv_b"] == conv_id)].reset_index(drop=True)
 
-    # distributed filters, never an O(corpus) driver collect: the union
-    # assignment and the base assignment are only ever touched for the
-    # ONE cluster this conversation landed in
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
-
-    def _col_filter(ds, col, values):
-        vals = list(values)
-
-        def f(t: _pa.Table) -> _pa.Table:
-            if t.num_rows == 0 or col not in t.column_names:
-                return t.slice(0, 0)
-            value_set = _pa.array(vals, type=t[col].type)
-            return t.filter(_pc.is_in(t[col], value_set=value_set))
-
-        return ds.map_batches(f, batch_format="pyarrow")
-
-    cluster_id = _col_filter(inc.clusters, "conv_id", {conv_id}) \
-        .take(1)[0]["cluster_id"]
-    members = set(_col_filter(inc.clusters, "cluster_id", {cluster_id})
-                  .to_pandas()["conv_id"]) - {conv_id}
-    merged = sorted(set(_col_filter(base.clusters, "conv_id", members)
-                        .to_pandas()["cluster_id"])) if members else []
+    # the re-labelled region holds this conversation's whole cluster and
+    # each member's base cluster: no pass over the assignment table
+    region = inc.region.to_pandas()
+    cluster_id = region.loc[region["conv_id"] == conv_id,
+                            "cluster_id"].iloc[0]
+    members = region[(region["cluster_id"] == cluster_id)
+                     & (region["conv_id"] != conv_id)]
+    merged = sorted(set(members["prior_id"].dropna()))
 
     matched = bool((mine["is_match"]).any()) if len(mine) else False
     return {

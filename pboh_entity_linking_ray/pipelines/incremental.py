@@ -15,11 +15,18 @@ Semantics (documented, deliberate):
   drift slowly, and refreshing them is a base-run rerun by definition.
   Incremental output therefore tracks, not equals, a full rerun; the
   pytest gate pins pairwise agreement on the golden corpus.
+- **Upsert.**  A batch row for a conv id the base already holds carries
+  that conversation's full current transcript and REPLACES the old one:
+  its base features are dropped up front (no stale probe rows, no
+  self-pairs), its new matches alone place it, and its old cluster is
+  re-labelled with the other members still linked (frozen evidence).
 - **Old×old pairs are never re-emitted or re-scored.**  New evidence is
   new×new and new×old pairs only.  Two base clusters CAN merge when a
-  new conversation bridges them — connected components run over the
-  base label edges ∪ new match edges, which is exactly CC on the union
-  graph.
+  new conversation bridges them.  ``stages.clustering.recluster``
+  re-labels only the TOUCHED region (batch convs + members of base
+  clusters they match or used to belong to) and passes every other
+  base row through; on a batch of new ids this is exactly CC over the
+  base label edges ∪ new match edges.
 - **Deterministic.**  Same base result + same new batch → byte-identical
   clusters (hash blocking, deterministic salting stripes, min-label CC).
 
@@ -42,21 +49,22 @@ from ..config import PipelineConfig
 from ..stages.blocking import add_block_keys, dedup_pairs, \
     make_pairs_incremental
 from ..stages.canonicalize import canonicalize
-from ..stages.clustering import cluster_matches
+from ..stages.clustering import _collect, recluster, rows_in
 from ..stages.featurize import build_stem_map, featurize
 from ..stages.scoring import attach_and_score
 from .linkage import LinkageResult, _concat_ds
 
 
 class IncrementalResult:
-    def __init__(self, new_features, pairs, scored, matches, clusters,
-                 n_new):
+    def __init__(self, new_features, features, pairs, scored, matches,
+                 clusters, region):
         self.new_features = new_features
+        self.features = features        # base rows of changed ids replaced
         self.pairs = pairs
         self.scored = scored
         self.matches = matches
         self.clusters = clusters        # conv_id → cluster_id for ALL convs
-        self.n_new = n_new
+        self.region = region            # re-labelled rows (recluster)
 
 
 def _tag(ds: ray.data.Dataset, flag: int) -> ray.data.Dataset:
@@ -70,16 +78,11 @@ def _tag(ds: ray.data.Dataset, flag: int) -> ray.data.Dataset:
 def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
                     cfg: PipelineConfig | None = None,
                     num_buckets: int = 64,
-                    checkpoint_root: str | None = None,
-                    sort_output: bool = True) -> IncrementalResult:
+                    checkpoint_root: str | None = None) -> IncrementalResult:
     """Link ``new_turns`` against ``base`` (a completed ``run_linkage``
     result, in-memory or checkpoint-backed) and return clusters over the
-    UNION of conversations.
-
-    ``sort_output=False`` skips the final O(corpus) conv_id sort of the
-    assignment table — the right call for consumers that only FILTER it
-    (the one-shot ``link_one``); batch folds keep the sorted contract
-    (deterministic checkpoint bytes).
+    UNION of conversations.  The sorted assignment table stays lazy until
+    a caller consumes it; ``region`` holds the re-labelled rows.
 
     ``checkpoint_root`` extends the flagship resume contract to the
     incremental path: each stage (inc_conv_docs / inc_features /
@@ -102,7 +105,13 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
                               lambda: featurize(new_docs, cfg, stem_ref))
     if not runner.root:
         new_features = new_features.materialize()
-    n_new = new_features.count()
+    # upsert: a batch row replaces the base row of the same conv id, so
+    # the base features of every changed id leave the probe, the attach
+    # and the folded state here, once
+    new_ids = _collect(new_features.select_columns(["conv_id"]),
+                       pa.schema([("conv_id", pa.string())]))["conv_id"] \
+        .combine_chunks()
+    old_features = rows_in(base.features, "conv_id", new_ids, False)
 
     new_blocked = add_block_keys(new_features, cfg).materialize()
     # broadcast the new batch's key set (the small side by assumption):
@@ -127,7 +136,7 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
         pos[pos == len(keys)] = 0
         return t.filter(pa.array(keys[pos] == ok))
 
-    old_blocked = add_block_keys(base.features, cfg) \
+    old_blocked = add_block_keys(old_features, cfg) \
         .map_batches(probe, batch_format="pyarrow")
 
     blocked = _tag(old_blocked, 0).union(_tag(new_blocked, 1))
@@ -142,7 +151,7 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
         # pair pipeline per consumer when lazy
         pairs = pairs.materialize()
 
-    feats_all = base.features.union(new_features)
+    feats_all = old_features.union(new_features)
     scored = runner.run(
         "inc_scored",
         lambda: attach_and_score(pairs, feats_all, base.stats_ref, cfg,
@@ -151,77 +160,12 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
         scored = scored.materialize()
     matches = scored.filter(expr="is_match")
 
-    # union graph = base assignments as label edges + new match edges,
-    # but an UNTOUCHED base cluster (no member in any new match edge)
-    # cannot change labels — its component is disjoint from every new
-    # edge and its id is already the component min.  So CC runs over the
-    # TOUCHED region only: new convs + members of clusters adjacent to a
-    # match; everything else streams through unrelabeled.  Two filters
-    # over base.clusters (no shuffle) replace the O(corpus) union CC —
-    # this is what makes the one-shot `link_one` call O(touched) end to
-    # end on a billion-conversation base.
-    import pyarrow.compute as pc
+    rc = recluster(base.clusters, matches.select_columns(["conv_a", "conv_b"]),
+                   new_ids)
+    clusters = runner.run("inc_clusters", rc.assignments)
 
-    # distinct OLD endpoints of the match edges (small: O(matches))
-    def endpoints(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "conv_a" not in t.column_names:
-            return pa.table({"conv_id": pa.array([], type=pa.string())})
-        vals = pa.concat_arrays([
-            t["conv_a"].combine_chunks().cast(pa.string()),
-            t["conv_b"].combine_chunks().cast(pa.string())])
-        return pa.table({"conv_id": pc.unique(vals)})
-
-    def _col_set(ds, col) -> set:
-        # a fully-empty map output has ZERO columns (CLAUDE.md trap)
-        t = _concat_ds(ds)
-        return set(t[col].to_pylist()) if col in t.column_names else set()
-
-    m_ends = _col_set(matches.map_batches(
-        endpoints, batch_format="pyarrow"), "conv_id")
-    new_ids = _col_set(new_features.select_columns(["conv_id"]), "conv_id")
-    old_ends = pa.array(sorted(m_ends - new_ids), type=pa.string())
-
-    # touched base cluster ids (≤ |old endpoints| rows reach the driver)
-    touched_cl = pa.array(sorted(_col_set(base.clusters.map_batches(
-        lambda t: (t.filter(pc.is_in(t["conv_id"], value_set=old_ends))
-                   .select(["cluster_id"])
-                   if t.num_rows and "conv_id" in t.column_names
-                   else pa.table({"cluster_id": pa.array(
-                       [], type=pa.string())})),
-        batch_format="pyarrow"), "cluster_id")), type=pa.string())
-
-    def split(keep_touched: bool):
-        def f(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or "cluster_id" not in t.column_names:
-                return pa.schema([("conv_id", pa.string()),
-                                  ("cluster_id", pa.string())]) \
-                    .empty_table()
-            m = pc.is_in(t["cluster_id"], value_set=touched_cl)
-            return t.filter(m if keep_touched else pc.invert(m)) \
-                .select(["conv_id", "cluster_id"])
-
-        return base.clusters.map_batches(f, batch_format="pyarrow")
-
-    members = split(True).materialize()      # touched members, small
-    member_edges = members.map_batches(
-        lambda t: (pa.table({"conv_a": t["conv_id"],
-                             "conv_b": t["cluster_id"]})
-                   if "conv_id" in t.column_names else
-                   pa.schema([("conv_a", pa.string()),
-                              ("conv_b", pa.string())]).empty_table()),
-        batch_format="pyarrow")
-    universe_small = new_features.select_columns(["conv_id"]).union(
-        members.select_columns(["conv_id"]))
-    def _assemble():
-        out = cluster_matches(
-            matches.select_columns(["conv_a", "conv_b"])
-            .union(member_edges), universe_small).union(split(False))
-        return out.sort("conv_id") if sort_output else out
-
-    clusters = runner.run("inc_clusters", _assemble)
-
-    return IncrementalResult(new_features, pairs, scored, matches,
-                             clusters, n_new)
+    return IncrementalResult(new_features, feats_all, pairs, scored, matches,
+                             clusters, rc.region)
 
 
 def fold_incremental(base: LinkageResult,
@@ -233,16 +177,15 @@ def fold_incremental(base: LinkageResult,
         for batch in rest:
             state = fold_incremental(state, run_incremental(state, batch))
 
-    Features become the union (the next batch blocks against everything
-    seen), clusters the updated assignment; the broadcast statistics
-    remain the ORIGINAL base run's (the frozen-stats contract — refresh
-    them by re-running the base pipeline when drift warrants, exactly
-    like rebuilding an index).  Stage outputs that only make sense for
+    Features become the union with changed ids' base rows replaced (the
+    next batch blocks against everything seen), clusters the updated
+    assignment; the broadcast statistics remain the ORIGINAL base run's
+    (the frozen-stats contract — refresh them by re-running the base
+    pipeline when drift warrants, exactly like rebuilding an index).  Stage outputs that only make sense for
     one full run (token/pair stats datasets, pair lists) carry over
     from the base unchanged and should not be re-consumed."""
+    clusters = inc.clusters.materialize()    # consumed per following batch
     return LinkageResult(
-        base.conv_docs, base.features.union(inc.new_features),
-        base.token_stats, base.pair_stats,
-        base.pairs, inc.scored, inc.matches,
-        inc.clusters.materialize(),      # consumed per following batch
-        base.n_convs + inc.n_new, stats_ref=base.stats_ref)
+        base.conv_docs, inc.features, base.token_stats, base.pair_stats,
+        base.pairs, inc.scored, inc.matches, clusters, clusters.count(),
+        stats_ref=base.stats_ref)

@@ -78,26 +78,6 @@ class LinkageResult:
                                     # (re-scoring / differential baselines)
 
 
-def _phase_logger():
-    """Optional stderr phase timing (BENCH_PHASE_LOG=1) — serial-section
-    hunting for the scaling protocol; no-op otherwise."""
-    if os.environ.get("BENCH_PHASE_LOG") != "1":
-        return lambda _name: None
-    import sys
-    import time
-
-    t0 = time.perf_counter()
-    last = [t0]
-
-    def mark(name: str) -> None:
-        now = time.perf_counter()
-        print(f"[phase] {name}: +{now - last[0]:.2f}s (t={now - t0:.2f}s)",
-              file=sys.stderr, flush=True)
-        last[0] = now
-
-    return mark
-
-
 def run_linkage(
     turns: ray.data.Dataset,
     cfg: PipelineConfig | None = None,
@@ -105,12 +85,10 @@ def run_linkage(
 ) -> LinkageResult:
     cfg = cfg or PipelineConfig()
     runner = StageRunner(checkpoint_root)
-    mark = _phase_logger()
 
     conv_docs = runner.run("conv_docs", lambda: canonicalize(turns))
     if not runner.root:
         conv_docs = conv_docs.materialize()
-    mark("canonicalize")
     # stem dictionary: distinct tokens stemmed once CLUSTER-WIDE and
     # broadcast (~20 B/token); without it every worker re-stems the
     # vocabulary through its own cache, which anti-scales with worker
@@ -119,7 +97,6 @@ def run_linkage(
 
     stem_map = runner.run("stem_map", lambda: build_stem_map(conv_docs, cfg))
     stem_ref = ray.put(_concat_ds(stem_map))
-    mark("stem_map")
     features = runner.run("features",
                           lambda: featurize(conv_docs, cfg, stem_ref))
     if not runner.root:
@@ -129,7 +106,6 @@ def run_linkage(
         # (With a checkpoint root the Parquet read-back serves this role —
         # that is the 100 TB path; materialize() is only for small runs.)
         features = features.materialize()
-    mark("featurize")
     # size every exchange to the corpus: ~rows_per_bucket keyed rows per
     # bucket (one bucket must fit a worker), power of two — crossing 256
     # engages the hierarchical two-round exchange automatically, so the
@@ -165,46 +141,32 @@ def run_linkage(
     # (reference analog: the min-word-count-20 floor of
     # context/WordFreqPerCorpus.scala:38 and the freq>=3 load filter of
     # index/WordEntityProbsIndex.scala:104).
-    _collect = _concat_ds
-
-    def _collect_view(ds, val: str, floor: int, collect) -> pa.Table:
+    def _collect_view(ds, val: str, floor: int) -> pa.Table:
         """pair_stats residue ≥ floor → driver table (pair, count); the
         filter runs distributed so the driver only ever sees the bounded
         broadcast-budget residue."""
-        t = collect(ds.filter(expr=f"{val} >= {floor}")
-                    .select_columns(["pair", val]))
+        t = _concat_ds(ds.filter(expr=f"{val} >= {floor}")
+                       .select_columns(["pair", val]))
         return pa.table({"pair": t["pair"], "count": t[val]})
 
     blocked = add_block_keys(features, cfg)
     pairs_raw = make_pairs(blocked, cfg, num_buckets=nb)
     pairs_lazy = dedup_pairs(pairs_raw, num_buckets=nb)
 
-    # Heavy distributed jobs run ONE AT A TIME with the whole cluster;
-    # only the two SMALL stats collects (a few thousand rows each, mostly
-    # fan-in latency) overlap the big pair-stats exchange.  Running the
-    # pair-generation shuffle concurrently with pair-stats too (the
-    # earlier 4-thread block) measured 67 s vs 39 s sequential for the
-    # same work at 16 CPUs / 250k convs — four streaming executors
-    # interfere (oversubscribed task launches + object-store pressure)
-    # instead of parallelizing, and the interference grows with CPU
-    # count, which is exactly what the N→4N scaling bar punishes.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(2) as ex:
-        f_tok = ex.submit(
-            lambda: _collect(token_stats.filter(expr="df >= 2 or occ >= 2")))
-        # conc_e4 == 10000 is the scorer's missing-entity default → drop
-        f_prior = ex.submit(
-            lambda: _collect(prior.filter(expr="conc_e4 < 10000")))
-        # the pair-stats table stays DISTRIBUTED: only the ≥-floor
-        # residues are ever collected (below); at bench scale the
-        # unfloored table is 23M rows — a driver collect of it was the
-        # r1 verdict's "unbounded stats pull" failure mode
-        pair_ds = pair_stats if runner.root else pair_stats.materialize()
-        tok_tbl = f_tok.result()
-        prior_tbl = f_prior.result()
+    # distributed jobs run ONE AT A TIME with the whole cluster: running
+    # pair generation concurrently with pair-stats measured 67 s vs 39 s
+    # sequential (16 CPUs / 250k convs), and collects from two driver
+    # threads sometimes aborted the process in Ray 2.49's core
+    # (reference_count.cc check failure after a task cancellation)
+    tok_tbl = _concat_ds(token_stats.filter(expr="df >= 2 or occ >= 2"))
+    # conc_e4 == 10000 is the scorer's missing-entity default → drop
+    prior_tbl = _concat_ds(prior.filter(expr="conc_e4 < 10000"))
+    # the pair-stats table stays DISTRIBUTED: only the ≥-floor residues
+    # are ever collected (below); at bench scale the unfloored table is
+    # 23M rows — a driver collect of it was the r1 verdict's "unbounded
+    # stats pull" failure mode
+    pair_ds = pair_stats if runner.root else pair_stats.materialize()
     pairs_mat = None if runner.root else pairs_lazy.materialize()
-    mark("stats+pairs")
 
     def _view(tbl: pa.Table, key: str, val: str, out: str,
               floor: int) -> pa.Table:
@@ -264,8 +226,7 @@ def run_linkage(
 
     cooc_tbl = pa.table({"pair": pa.array(f_k[kinds == 1]),
                          "count": pa.array(f_v[kinds == 1])})
-    wcooc_tbl = _collect_view(pair_ds, "count_win", floor, _collect)
-    mark("broadcast_prep")
+    wcooc_tbl = _collect_view(pair_ds, "count_win", floor)
     stats = BroadcastStats.from_tables(vocab_tbl, cooc_tbl, n_convs,
                                        wfreq_tbl, wcooc_tbl, prior_tbl)
 
@@ -295,7 +256,6 @@ def run_linkage(
         runner.add_metrics("scored", {"score_histogram": score_histogram(scored)})
     else:
         scored = scored.materialize()  # consumed by both matches and callers
-    mark("score")
 
     matches = scored.filter(expr="is_match")
     # within-stage periodic round checkpoints (K4 analog): a crash during
@@ -311,7 +271,6 @@ def run_linkage(
             iter_checkpoint_root=cc_root,
         ).sort("conv_id"),
     )
-    mark("cluster_plan")
     return LinkageResult(conv_docs, features, token_stats, pair_stats,
                          pairs, scored, matches, clusters, n_convs,
                          stats_ref=stats_ref)

@@ -24,9 +24,11 @@ from pboh_entity_linking_ray.sources.reading import read_parquet_clean
 import json
 import os
 import shutil
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
@@ -110,8 +112,6 @@ def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
 
 def _dedup_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
     def key(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return t.append_column(
             "ek", pc.binary_join_element_wise(t["u"], t["v"], "\x1f"))
 
@@ -127,12 +127,23 @@ def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
     return ray.data.from_arrow_refs(ds.materialize().to_arrow_refs())
 
 
+def _collect(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
+    """Driver-side collect of a SMALL Dataset as one ``schema`` table (a
+    fully-empty Ray map output has ZERO columns)."""
+    blocks = [b.select(schema.names).cast(schema)
+              for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+    return (pa.concat_tables(blocks).combine_chunks() if blocks
+            else schema.empty_table())
+
+
 def _local_cc(edges: pa.Table) -> pa.Table:
     """Vectorized driver-side union-find over a SMALL edge table — the
     finish step once star contraction has shrunk the frontier under
     ``local_finish_rows``.  Path-halving on int32 index arrays; node ids
     factorized to indices via np.unique so labels stay the component-min
     conv_id (same contract as the distributed rounds)."""
+    if edges.num_rows == 0:
+        return _LABEL_SCHEMA.empty_table()
     u = np.asarray(edges["u"]).astype(object)
     v = np.asarray(edges["v"]).astype(object)
     nodes, idx = np.unique(np.concatenate([u, v]), return_inverse=True)
@@ -238,13 +249,7 @@ def connected_components(
     prev_sum = None
     for rnd in range(start_round, max_rounds):
         if cur.count() <= local_finish_rows:
-            blks = [b for b in ray.get(cur.to_arrow_refs()) if b.num_rows]
-            tbl = (pa.concat_tables(blks).combine_chunks() if blks
-                   else pa.table({"u": pa.array([], type=pa.string()),
-                                  "v": pa.array([], type=pa.string())}))
-            if tbl.num_rows == 0:
-                return ray.data.from_arrow(_LABEL_SCHEMA.empty_table())
-            return ray.data.from_arrow(_local_cc(tbl))
+            return ray.data.from_arrow(_local_cc(_collect(cur, _EDGE_SCHEMA)))
         # no inter-round dedup needed: each star op dedups within its
         # bucket, and bucketing by u makes that a global dedup
         ls = bucketed_groups(_doubled(cur), "u", _large_star,
@@ -314,3 +319,72 @@ def cluster_matches(
         return out.to_arrow().cast(_LABEL_SCHEMA)
 
     return bucketed_groups(labeled.union(self_rows), "conv_id", pick_min)
+
+
+class Reclustered(NamedTuple):
+    """``region``: the rows ``recluster`` re-labelled, a driver table
+    with ``prior_id`` (the row's cluster before the call, null if new).
+    ``rest``: the untouched prior rows, passed through lazily."""
+    region: pa.Table
+    rest: ray.data.Dataset
+
+    def assignments(self) -> ray.data.Dataset:
+        """conv_id → cluster_id for every conversation, lazily sorted by
+        conv_id (deterministic checkpoint bytes)."""
+        return ray.data.from_arrow(self.region.select(_LABEL_SCHEMA.names)) \
+            .union(self.rest).sort("conv_id")
+
+
+def rows_in(ds: ray.data.Dataset, col: str, values: pa.Array,
+            keep: bool) -> ray.data.Dataset:
+    """Rows of ``ds`` whose ``col`` is (``keep``) or is not in the driver
+    value set ``values``; zero-column empty blocks pass through."""
+    def f(t: pa.Table) -> pa.Table:
+        if col not in t.column_names:
+            return t
+        m = pc.is_in(t[col], value_set=values.cast(t[col].type))
+        return t.filter(m if keep else pc.invert(m))
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def recluster(prior: ray.data.Dataset, match_edges: ray.data.Dataset,
+              changed: pa.Array) -> Reclustered:
+    """Update ``prior`` (conv_id, cluster_id) with ``match_edges``
+    (conv_a, conv_b) for the ``changed`` conversations (distinct string
+    conv ids) — the clustering epilogue of the incremental and one-shot
+    paths.
+
+    Only the state an arriving record touches is updated (ICDE 2020
+    streaming join): a prior cluster is touched when a member is a match
+    endpoint or a changed id; an untouched one is disjoint from every new
+    edge and already min-labelled, so it passes through.  The touched
+    region is collected and clustered on the driver (``_local_cc``) over
+    the match edges plus, per touched cluster, edges from each kept
+    member to the least one.  A changed id's own prior row is dropped
+    (upsert: its new matches alone place it); with only new ids this is
+    exactly CC over prior label edges ∪ match edges."""
+    edges = _collect(match_edges.map_batches(
+        lambda t: pa.table({"u": t["conv_a"], "v": t["conv_b"]})
+        if t.num_rows else _EDGE_SCHEMA.empty_table(),
+        batch_format="pyarrow"), _EDGE_SCHEMA)
+    keys = pc.unique(pa.chunked_array(
+        [changed, *edges["u"].chunks, *edges["v"].chunks], pa.string()))
+    touched = pc.unique(_collect(rows_in(prior, "conv_id", keys, True),
+                                 _LABEL_SCHEMA)["cluster_id"])
+    members = _collect(rows_in(prior, "cluster_id", touched, True),
+                       _LABEL_SCHEMA)
+
+    kept = members.filter(pc.invert(pc.is_in(members["conv_id"],
+                                             value_set=changed)))
+    star = kept.join(kept.group_by("cluster_id").aggregate(
+        [("conv_id", "min")]), "cluster_id")
+    labels = _local_cc(pa.concat_tables([edges, pa.table(
+        {"u": star["conv_id"], "v": star["conv_id_min"]}).cast(_EDGE_SCHEMA)]))
+    lone = changed.filter(pc.invert(pc.is_in(changed,
+                                             value_set=labels["conv_id"])))
+    region = pa.concat_tables([labels, pa.table(
+        {"conv_id": lone, "cluster_id": lone}).cast(_LABEL_SCHEMA)]).join(
+        members.rename_columns(["conv_id", "prior_id"]), "conv_id",
+        join_type="left outer").sort_by("conv_id")
+    return Reclustered(region, rows_in(prior, "cluster_id", touched, False))

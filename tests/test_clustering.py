@@ -107,3 +107,27 @@ def test_cc_edge_order_invariance(ray_session):
     g1 = connected_components(ds1).to_pandas().sort_values("conv_id").reset_index(drop=True)
     g2 = connected_components(ds2).to_pandas().sort_values("conv_id").reset_index(drop=True)
     assert g1.equals(g2)
+
+
+def test_recluster_touched_region_and_upsert(ray_session):
+    """Only touched prior clusters are re-labelled; a changed id's own
+    prior row is replaced (its old cluster stays linked without it)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from pboh_entity_linking_ray.stages.clustering import recluster
+
+    prior = rd.from_arrow(pa.table({
+        "conv_id": list("abcdefgh"),
+        "cluster_id": ["a", "a", "a", "d", "d", "f", "g", "g"]}))
+    matches = rd.from_arrow(pa.table({"conv_a": ["d", "a"],
+                                      "conv_b": ["x", "f"]}))
+    rc = recluster(prior, matches, pa.array(["a", "x"]))
+    got = rc.assignments().to_pandas()
+    want = {"a": "a", "b": "b", "c": "b", "d": "d", "e": "d", "f": "a",
+            "g": "g", "h": "g", "x": "d"}
+    assert list(got["conv_id"]) == sorted(want)
+    assert dict(zip(got["conv_id"], got["cluster_id"])) == want
+    assert rc.region["conv_id"].to_pylist() == list("abcdefx")
+    assert rc.region["prior_id"].to_pylist() == \
+        ["a", "a", "a", "d", "d", "f", None]

@@ -142,10 +142,14 @@ def test_incremental_resume_byte_identical(ray_session, tmp_path):
 
 
 def test_touched_region_cc_equals_full_union_cc(ray_session):
-    """The round-5 touched-region optimization is EXACT: clusters from
-    the restricted CC (members of match-adjacent base clusters + new
-    convs, untouched rows passed through) must equal CC over the full
-    union graph (base label edges ∪ match edges) row for row."""
+    """``recluster``'s touched-region CC is EXACT: clusters from the
+    restricted CC (members of touched base clusters + batch convs,
+    untouched rows passed through) must equal CC over the full union
+    graph (base label edges ∪ match edges) row for row.  Second case: a
+    batch that also carries conversations the base already holds (the
+    upsert contract) — each conv id appears once, no pair scores a conv
+    against its own stale base row, and the clusters equal full-union CC
+    once the changed convs' base rows are replaced."""
     import ray.data as rd
 
     from pboh_entity_linking_ray.functions.hashing import hash_strings_u64
@@ -156,23 +160,35 @@ def test_touched_region_cc_equals_full_union_cc(ray_session):
 
     corpus = generate_corpus(200, 11)
     turns = corpus.turns
-    is_new = pa.array((hash_strings_u64(turns["conv_id"])
-                       % np.uint64(4)) == 0)
-    base = run_linkage(rd.from_arrow(turns.filter(
-        pa.compute.invert(is_new))))
-    inc = run_incremental(base, rd.from_arrow(turns.filter(is_new)))
-    got = inc.clusters.to_pandas().sort_values("conv_id") \
-        .reset_index(drop=True)
+    part = hash_strings_u64(turns["conv_id"]) % np.uint64(4)
+    base = run_linkage(rd.from_arrow(turns.filter(pa.array(part != 0))))
+    base_df = base.clusters.to_pandas()
 
-    # the pre-optimization definition: CC over the FULL union graph
-    base_edges = base.clusters.map_batches(
-        lambda t: pa.table({"conv_a": t["conv_id"],
-                            "conv_b": t["cluster_id"]}),
-        batch_format="pyarrow")
-    universe = base.clusters.select_columns(["conv_id"]).union(
-        inc.new_features.select_columns(["conv_id"]))
-    want = cluster_matches(
-        inc.matches.select_columns(["conv_a", "conv_b"]).union(base_edges),
-        universe).to_pandas().sort_values("conv_id").reset_index(drop=True)
+    for batch_parts in ((0,), (0, 1)):
+        batch = turns.filter(pa.array(np.isin(part, batch_parts)))
+        changed = set(pa.compute.unique(batch["conv_id"]).to_pylist())
+        inc = run_incremental(base, rd.from_arrow(batch))
+        got = inc.clusters.to_pandas().sort_values("conv_id") \
+            .reset_index(drop=True)
+        assert got["conv_id"].is_unique
+        assert len(got) == len(set(base_df["conv_id"]) | changed)
+        sc = inc.scored.select_columns(["conv_a", "conv_b"]).to_pandas()
+        assert not (sc["conv_a"] == sc["conv_b"]).any()
 
-    pd.testing.assert_frame_equal(got, want)
+        # the definition: CC over the FULL union graph; each kept base
+        # row links to its cluster's least kept member (= its label when
+        # no member changed)
+        kept = base_df[~base_df["conv_id"].isin(changed)]
+        base_edges = pa.table({
+            "conv_a": kept["conv_id"].to_numpy(),
+            "conv_b": kept.groupby("cluster_id")["conv_id"]
+            .transform("min").to_numpy()}).cast(pa.schema(
+                [("conv_a", pa.string()), ("conv_b", pa.string())]))
+        universe = pa.table({"conv_id": pa.array(
+            sorted(set(kept["conv_id"]) | changed), type=pa.string())})
+        want = cluster_matches(
+            inc.matches.select_columns(["conv_a", "conv_b"])
+            .union(rd.from_arrow(base_edges)), rd.from_arrow(universe)) \
+            .to_pandas().sort_values("conv_id").reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(got, want)

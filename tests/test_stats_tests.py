@@ -112,9 +112,10 @@ def test_spearman_two_limb_exact_past_int64(ray_session):
     # arbitrary-precision oracle over the same planted ranks
     sx = int(rx2.astype(object).sum())
     sy = int(ry2.astype(object).sum())
+    syy = int((ry2.astype(object) ** 2).sum())
     sxy = sum(int(a) * int(b) for a, b in zip(rx2, ry2))
     num = n * sxy - sx * sy
-    den2 = (n * sxx_exact - sx * sx) * (n * sxx_exact - sy * sy)
+    den2 = (n * sxx_exact - sx * sx) * (n * syy - sy * sy)
     rho = float(num) / np.sqrt(float(den2))
     assert abs(out["rho_e6"] - rho * 1_000_000) <= 1
 

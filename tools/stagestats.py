@@ -7,8 +7,9 @@ Runs the query, materializes its result, and prints Ray's operator-level
 wall/CPU/rows breakdown (`Dataset.stats()`), so a slow stage is visible
 by name instead of guessed at.  Note: queries built on the direct
 hash exchange run their shuffle inside raw Ray tasks — those stages
-appear in the log-phase timings (pipelines/linkage.py:_phase_logger) and
-in total wall time, not in Dataset.stats().
+appear in total wall time and in the per-layer spans of a traced
+benchmark run (`python3 perfbench/run.py --trace 1`), not in
+Dataset.stats().
 """
 from __future__ import annotations
 
