@@ -105,11 +105,11 @@ class PipelineConfig:
                                 # identical either way.
     attach_hot_frac: float = 0.01   # sampled share above which a conv id
                                 # counts as hot in that detection
-    rows_per_bucket: int = 25_000   # exchange sizing: ~keyed rows per
-                                # hash bucket (functions/grouping.py:
-                                # buckets_for); bucket counts grow with
-                                # the corpus and the two-round exchange
-                                # engages automatically past 256
+    rows_per_bucket: int = 25_000   # exchange sizing (functions/grouping.py:
+                                # buckets_for): ~keyed rows per hash
+                                # bucket above the CPU floor; past 256
+                                # buckets the two-round exchange engages
+                                # automatically
     # --- pluggable scoring (SURVEY §2.10; reference Scorer trait,
     # loopybeliefpropagation/Scorer.scala:7-14 with ScorerFull /
     # ScorerFullLearnedParams as the two shipped impls) ---

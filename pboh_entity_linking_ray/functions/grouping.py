@@ -213,18 +213,23 @@ def rekey_exchange(ds: ray.data.Dataset, key1: str, fn1, key2: str, fn2,
 TWO_ROUND_THRESHOLD = 256
 
 
-def buckets_for(n_rows: int, rows_per_bucket: int = 25_000,
-                lo: int = 64) -> int:
-    """Exchange bucket count sized to the input: ~``rows_per_bucket``
-    keyed rows per bucket (one bucket must fit a worker's heap), rounded
-    up to a power of two, floored at ``lo``.  Crossing
-    TWO_ROUND_THRESHOLD automatically engages the hierarchical
-    two-round exchange — this is how the flagship's shuffles keep
-    working unchanged from 20k conversations to 100 TB."""
+# exchange buckets per cluster CPU at the floor: every CPU gets work on
+# a small input, and the per-bucket task cost stays bounded (2 × 32 CPUs
+# keeps the 32-CPU bench at 64 buckets)
+BUCKETS_PER_CPU = 2
+
+
+def buckets_for(n_rows: int, rows_per_bucket: int, cpus: int) -> int:
+    """The one bucket-count rule of the linkage exchanges: the power of
+    two ≥ ``n_rows / rows_per_bucket`` (one bucket must fit a worker's
+    heap), floored at ``BUCKETS_PER_CPU × cpus`` so a small input pays
+    a few tasks per CPU, not a fixed 64.  Crossing TWO_ROUND_THRESHOLD
+    engages the hierarchical two-round exchange automatically, so the
+    same pipeline code holds from 20k conversations to 100 TB."""
     import math
 
-    need = max(1, int(n_rows) // max(1, rows_per_bucket))
-    return max(lo, 1 << math.ceil(math.log2(need)))
+    need = max(1, -(-int(n_rows) // max(1, rows_per_bucket)))
+    return max(BUCKETS_PER_CPU * int(cpus), 1 << math.ceil(math.log2(need)))
 
 
 def hash_exchange(ds: ray.data.Dataset, key_col: str, fn,

@@ -669,7 +669,7 @@ def q61_embedding_dedup(sf_dir: str):
             pa.schema([("u", pa.string()), ("v", pa.string())]))
 
     labels = connected_components(
-        pairs.map_batches(to_edges, batch_format="pyarrow"))
+        pairs.map_batches(to_edges, batch_format="pyarrow"), 64)
 
     def back(t: pa.Table) -> pa.Table:
         import polars as pl

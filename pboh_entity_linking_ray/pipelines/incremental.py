@@ -46,13 +46,14 @@ import ray
 import ray.data
 
 from ..config import PipelineConfig
+from ..functions.grouping import buckets_for
 from ..stages.blocking import add_block_keys, dedup_pairs, \
     make_pairs_incremental
 from ..stages.canonicalize import canonicalize
 from ..stages.clustering import _collect, recluster, rows_in
 from ..stages.featurize import build_stem_map, featurize
 from ..stages.scoring import attach_and_score
-from .linkage import LinkageResult, _concat_ds
+from .linkage import LinkageResult, _cluster_cpus, _concat_ds
 
 
 class IncrementalResult:
@@ -77,7 +78,6 @@ def _tag(ds: ray.data.Dataset, flag: int) -> ray.data.Dataset:
 
 def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
                     cfg: PipelineConfig | None = None,
-                    num_buckets: int = 64,
                     checkpoint_root: str | None = None) -> IncrementalResult:
     """Link ``new_turns`` against ``base`` (a completed ``run_linkage``
     result, in-memory or checkpoint-backed) and return clusters over the
@@ -93,14 +93,20 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
 
     cfg = cfg or PipelineConfig()
     runner = StageRunner(checkpoint_root)
+    # the bucket rule of run_linkage: the CPU floor until the batch's
+    # conversations are known, then sized to them
+    cpus = _cluster_cpus()
+    nb = buckets_for(0, cfg.rows_per_bucket, cpus)
 
-    new_docs = runner.run("inc_conv_docs", lambda: canonicalize(new_turns))
+    new_docs = runner.run("inc_conv_docs",
+                          lambda: canonicalize(new_turns, nb))
     if not runner.root:
         new_docs = new_docs.materialize()
     # the stem map is a deterministic per-token function — rebuilding it
     # over the new vocabulary yields identical stems for shared tokens,
     # so frozen-stats scoring stays consistent with the base run
-    stem_ref = ray.put(_concat_ds(build_stem_map(new_docs, cfg)))
+    stem_ref = ray.put(_concat_ds(build_stem_map(new_docs, cfg,
+                                                 num_buckets=nb)))
     new_features = runner.run("inc_features",
                               lambda: featurize(new_docs, cfg, stem_ref))
     if not runner.root:
@@ -111,18 +117,15 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
     new_ids = _collect(new_features.select_columns(["conv_id"]),
                        pa.schema([("conv_id", pa.string())]))["conv_id"] \
         .combine_chunks()
+    nb = buckets_for(len(new_ids), cfg.rows_per_bucket, cpus)
     old_features = rows_in(base.features, "conv_id", new_ids, False)
 
     new_blocked = add_block_keys(new_features, cfg).materialize()
     # broadcast the new batch's key set (the small side by assumption):
     # base rows outside every touched block never enter the exchange
-    touched = np.unique(np.asarray(
-        _concat_ds(new_blocked.map_batches(
-            lambda t: pa.table(
-                {"own_key": pa.array(
-                    np.unique(np.asarray(t["own_key"], dtype=np.int64)))}),
-            batch_format="pyarrow"))["own_key"],
-        dtype=np.int64))
+    touched = np.unique(np.asarray(_collect(
+        new_blocked.select_columns(["own_key"]),
+        pa.schema([("own_key", pa.int64())]))["own_key"]))
     keys_ref = ray.put(touched)
 
     def probe(t: pa.Table) -> pa.Table:
@@ -143,8 +146,7 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
     pairs = runner.run(
         "inc_pairs",
         lambda: dedup_pairs(make_pairs_incremental(blocked, cfg,
-                                                   num_buckets),
-                            num_buckets))
+                                                   num_buckets=nb), nb))
     if not runner.root:
         # resolve once: the attach consumes pairs twice (skew-defense
         # detection pass + the join itself) and would re-run the whole
@@ -155,7 +157,7 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
     scored = runner.run(
         "inc_scored",
         lambda: attach_and_score(pairs, feats_all, base.stats_ref, cfg,
-                                 num_buckets=num_buckets))
+                                 num_buckets=nb))
     if not runner.root:
         scored = scored.materialize()
     matches = scored.filter(expr="is_match")

@@ -21,10 +21,11 @@ import ray
 import ray.data
 
 from ..config import PipelineConfig
+from ..functions.grouping import buckets_for
 from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs
 from ..stages.canonicalize import canonicalize
 from ..stages.clustering import cluster_matches
-from ..stages.featurize import featurize
+from ..stages.featurize import build_stem_map, featurize
 from ..stages.scoring import BroadcastStats, attach_and_score
 from ..stages.stats import (
     build_entity_prior_from_docs,
@@ -32,6 +33,12 @@ from ..stages.stats import (
     build_token_stats,
 )
 from ..state.checkpoint import StageRunner
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the Ray cluster: the floor of every exchange's bucket
+    count (``buckets_for``)."""
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def _concat_ds(ds: ray.data.Dataset) -> pa.Table:
@@ -85,17 +92,21 @@ def run_linkage(
 ) -> LinkageResult:
     cfg = cfg or PipelineConfig()
     runner = StageRunner(checkpoint_root)
+    # every exchange of the run takes its bucket count from one rule
+    # (buckets_for): canonicalize and the stem map run before the
+    # conversations are counted, so they get the CPU floor
+    cpus = _cluster_cpus()
+    nb = buckets_for(0, cfg.rows_per_bucket, cpus)
 
-    conv_docs = runner.run("conv_docs", lambda: canonicalize(turns))
+    conv_docs = runner.run("conv_docs", lambda: canonicalize(turns, nb))
     if not runner.root:
         conv_docs = conv_docs.materialize()
     # stem dictionary: distinct tokens stemmed once CLUSTER-WIDE and
     # broadcast (~20 B/token); without it every worker re-stems the
     # vocabulary through its own cache, which anti-scales with worker
     # count (featurize measured 2.3× instead of 4× from 4→16 CPUs)
-    from ..stages.featurize import build_stem_map
-
-    stem_map = runner.run("stem_map", lambda: build_stem_map(conv_docs, cfg))
+    stem_map = runner.run("stem_map", lambda: build_stem_map(
+        conv_docs, cfg, num_buckets=nb))
     stem_ref = ray.put(_concat_ds(stem_map))
     features = runner.run("features",
                           lambda: featurize(conv_docs, cfg, stem_ref))
@@ -106,14 +117,9 @@ def run_linkage(
         # (With a checkpoint root the Parquet read-back serves this role —
         # that is the 100 TB path; materialize() is only for small runs.)
         features = features.materialize()
-    # size every exchange to the corpus: ~rows_per_bucket keyed rows per
-    # bucket (one bucket must fit a worker), power of two — crossing 256
-    # engages the hierarchical two-round exchange automatically, so the
-    # same pipeline code holds from 20k convs to 100 TB
-    from ..functions.grouping import buckets_for
-
+    # every later exchange is sized to the corpus as well
     n_convs = features.count()
-    nb = buckets_for(n_convs, cfg.rows_per_bucket)
+    nb = buckets_for(n_convs, cfg.rows_per_bucket, cpus)
 
     # fused stats builds: token-level (vocab df + stream occ) and
     # pair-level (conv cooc + window cooc) each cost ONE pass over
@@ -130,7 +136,8 @@ def run_linkage(
     prior = runner.run(
         "entity_prior",
         lambda: build_entity_prior_from_docs(conv_docs,
-                                             cfg.prior_sample_mod))
+                                             cfg.prior_sample_mod,
+                                             num_buckets=nb))
 
     # stats are the small side: PRUNE in the dataset, then collect the
     # residue driver-side and broadcast.  df==1 tokens can never be shared
@@ -267,7 +274,7 @@ def run_linkage(
         "clusters",
         lambda: cluster_matches(
             matches.select_columns(["conv_a", "conv_b"]),
-            features.select_columns(["conv_id"]),
+            features.select_columns(["conv_id"]), nb,
             iter_checkpoint_root=cc_root,
         ).sort("conv_id"),
     )

@@ -56,7 +56,7 @@ def _labels(sf_dir: str) -> pa.Table:
 
 def link_canonicalize(sf_dir: str):
     """turns → conv_docs (the per-turn ordering invariant, oracle-checked)."""
-    return canonicalize(_turns(sf_dir))
+    return canonicalize(_turns(sf_dir), 64)
 
 
 SQL_CANONICALIZE = f"WITH {_SQL_CONV_DOCS} SELECT * FROM conv_docs"
@@ -107,7 +107,7 @@ def link_dedup_exact(sf_dir: str):
     (functions/grouping.py rationale: never one Python call per key)."""
     from ..functions.grouping import bucketed_groups
 
-    conv = canonicalize(_turns(sf_dir))
+    conv = canonicalize(_turns(sf_dir), 64)
 
     def keep_min(bucket: pa.Table) -> pa.Table:
         import polars as pl
@@ -146,7 +146,7 @@ def _mh_perm(j: int, h32: np.ndarray) -> np.ndarray:
 def _md5_band_keys(sf_dir: str) -> ray.data.Dataset:
     """(conv_id, band, bkey) rows on the DuckDB-reproducible md5 MinHash
     (shared by the LSH-candidates query and the block inventory)."""
-    conv = canonicalize(_turns(sf_dir))
+    conv = canonicalize(_turns(sf_dir), 64)
 
     class BandKeys:
         def __init__(self):
@@ -400,7 +400,7 @@ def link_signature_blocking_quality(sf_dir: str):
 
     from ..functions.grouping import bucketed_sum
 
-    docs = canonicalize(_turns(sf_dir)).materialize()
+    docs = canonicalize(_turns(sf_dir), 64).materialize()
 
     _P = pa.schema([("sig", pa.string()), ("m", pa.int64())])
 
@@ -574,7 +574,7 @@ def link_block_inventory(sf_dir: str):
     from ..stages.featurize import featurize
 
     cfg = PipelineConfig()
-    feats = featurize(canonicalize(_turns(sf_dir)), cfg)
+    feats = featurize(canonicalize(_turns(sf_dir), 64), cfg)
     return block_inventory(add_block_keys(feats, cfg))
 
 
@@ -772,7 +772,7 @@ def link_block_histogram(sf_dir: str):
     from ..stages.featurize import featurize
 
     cfg = PipelineConfig()
-    feats = featurize(canonicalize(_turns(sf_dir)), cfg)
+    feats = featurize(canonicalize(_turns(sf_dir), 64), cfg)
     inv = block_inventory(add_block_keys(feats, cfg))
 
     _P = pa.schema([("b", pa.int64()), ("n_blocks", pa.int64()),
@@ -852,7 +852,7 @@ def link_threshold_sensitivity(sf_dir: str):
 
         cl = cluster_matches(
             res.scored.map_batches(matches, batch_format="pyarrow"),
-            universe)
+            universe, 64)
         rep = cluster_quality(
             cl, base_tbl.select(["conv_id", "cluster_id"])).to_pandas() \
             .set_index("metric")["value"]
@@ -1136,7 +1136,7 @@ def link_lbp_convergence(sf_dir: str):
     from ..stages.scoring import attach_features, score_pairs
 
     res, cfg = _run(sf_dir)
-    attached = attach_features(res.pairs, res.features)
+    attached = attach_features(res.pairs, res.features, 64)
     scored = score_pairs(attached, res.stats_ref,
                          dc_replace(cfg, scorer="lbp"))
     return lbp_convergence_report(scored)

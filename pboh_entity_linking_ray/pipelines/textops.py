@@ -1373,7 +1373,7 @@ def q58_neardup_clusters(sf_dir: str):
             pa.schema([("u", pa.string()), ("v", pa.string())]))
 
     labels = connected_components(
-        pairs.map_batches(to_edges, batch_format="pyarrow"))
+        pairs.map_batches(to_edges, batch_format="pyarrow"), 64)
 
     def back(t: pa.Table) -> pa.Table:
         import polars as pl

@@ -100,18 +100,13 @@ def read_parquet_clean(paths, *, columns=None, schema=None,
     the caller didn't pass one and the file footer carries metadata.
     ``union_by_name=True`` additionally unifies DIVERGENT file schemas
     (schema evolution: newer shards with extra columns) and null-fills
-    the missing columns on old rows — the plain reader raises."""
+    the missing columns on old rows — the plain reader raises; the
+    unified schema then takes the same projection, filter widening and
+    footer fallback as a stripped one."""
     drop_after = None
-    if schema is None and union_by_name:
-        schema = _unified_schema(paths)
-        if columns is not None:
-            import pyarrow as pa
-
-            keep = [schema.field(c) for c in columns
-                    if schema.get_field_index(c) >= 0]
-            schema = pa.schema(keep)
     if schema is None:
-        sch = _stripped_schema(paths)
+        sch = (_unified_schema(paths) if union_by_name
+               else _stripped_schema(paths))
         flt = kw.get("filter")
         if sch is not None:
             read_cols = columns

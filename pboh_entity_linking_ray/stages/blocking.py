@@ -284,7 +284,7 @@ def _pairs_from_indices(bucket: pa.Table, i_idx: np.ndarray,
 
 
 def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
-               num_buckets: int = 64):
+               *, num_buckets: int):
     """ONE hash-partition by block-key hash; singleton pruning, salting
     and capped accounting all happen INSIDE the receiving bucket — every
     row of a key co-locates, so sizes are locally known, nothing is
@@ -421,7 +421,7 @@ def _emit_pairs_bucket_incr(bucket: pa.Table, cfg: PipelineConfig) -> pa.Table:
 
 def make_pairs_incremental(blocked: ray.data.Dataset,
                            cfg: PipelineConfig | None = None,
-                           num_buckets: int = 64):
+                           *, num_buckets: int):
     """``make_pairs`` over a union of base and new blocked rows (extra
     ``is_new`` int8 column): same one-exchange co-location, but the
     bucket task emits only new-touching pairs (``_emit_pairs_bucket_incr``)."""
@@ -444,7 +444,7 @@ def make_pairs_incremental(blocked: ray.data.Dataset,
                            engine="exchange", repartition=False)
 
 
-def dedup_pairs(pairs: ray.data.Dataset, num_buckets: int = 64):
+def dedup_pairs(pairs: ray.data.Dataset, num_buckets: int):
     """Keep one row per pair_key (pair-uniqueness invariant, FIXTURES.md
     §5); deterministic first-by-(pair_key, block_key), vectorized per
     hash bucket — the analog of the reference's ``.distinct`` on packed

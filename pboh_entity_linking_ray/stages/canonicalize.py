@@ -51,7 +51,7 @@ def _assemble(bucket: pa.Table) -> pa.Table:
     return out.to_arrow().cast(_SCHEMA)
 
 
-def canonicalize(turns: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
+def canonicalize(turns: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
     """turns(conv_id, turn_idx, role, text, tool, ts) → conv_docs.
 
     Column-prunes before the shuffle: ``ts`` never leaves the read.

@@ -110,13 +110,15 @@ def _checksum(edges: ray.data.Dataset) -> tuple[int, int]:
     return int(agg.get("hs") or 0), int(agg.get("cs") or 0)
 
 
-def _dedup_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
+def _dedup_edges(edges: ray.data.Dataset,
+                 num_buckets: int) -> ray.data.Dataset:
     def key(t: pa.Table) -> pa.Table:
         return t.append_column(
             "ek", pc.binary_join_element_wise(t["u"], t["v"], "\x1f"))
 
     keyed = edges.map_batches(key, batch_format="pyarrow")
-    return dedup_keep_first(keyed, "ek").select_columns(["u", "v"])
+    return dedup_keep_first(keyed, "ek", num_buckets=num_buckets) \
+        .select_columns(["u", "v"])
 
 
 def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -209,7 +211,7 @@ def _write_round_ckpt(root: str, rnd: int, frontier: ray.data.Dataset) -> None:
 
 
 def connected_components(
-    edges: ray.data.Dataset, max_rounds: int = 50,
+    edges: ray.data.Dataset, num_buckets: int, max_rounds: int = 50,
     local_finish_rows: int = 5_000_000,
     iter_checkpoint_root: str | None = None,
     checkpoint_every: int = 5,
@@ -244,7 +246,7 @@ def connected_components(
         start_round = resumed[0] + 1
         cur = _pin(read_parquet_clean(resumed[1]))
     else:
-        cur = _pin(_dedup_edges(edges))
+        cur = _pin(_dedup_edges(edges, num_buckets))
     prev_meta = None
     prev_sum = None
     for rnd in range(start_round, max_rounds):
@@ -252,9 +254,9 @@ def connected_components(
             return ray.data.from_arrow(_local_cc(_collect(cur, _EDGE_SCHEMA)))
         # no inter-round dedup needed: each star op dedups within its
         # bucket, and bucketing by u makes that a global dedup
-        ls = bucketed_groups(_doubled(cur), "u", _large_star,
+        ls = bucketed_groups(_doubled(cur), "u", _large_star, num_buckets,
                              repartition=False)
-        ss = bucketed_groups(_doubled(ls), "u", _small_star,
+        ss = bucketed_groups(_doubled(ls), "u", _small_star, num_buckets,
                              repartition=False)
         cur = _pin(ss)
         if (iter_checkpoint_root and checkpoint_every > 0
@@ -286,11 +288,11 @@ def connected_components(
         )
         return out.to_arrow().cast(_LABEL_SCHEMA)
 
-    return bucketed_groups(_doubled(cur), "u", label)
+    return bucketed_groups(_doubled(cur), "u", label, num_buckets)
 
 
 def cluster_matches(
-    matches: ray.data.Dataset, all_convs: ray.data.Dataset,
+    matches: ray.data.Dataset, all_convs: ray.data.Dataset, num_buckets: int,
     iter_checkpoint_root: str | None = None,
 ) -> ray.data.Dataset:
     """matches(conv_a, conv_b) + the full conv universe → one row per
@@ -301,7 +303,7 @@ def cluster_matches(
         batch_format="pyarrow",
     )
     labeled = connected_components(
-        edges, iter_checkpoint_root=iter_checkpoint_root)
+        edges, num_buckets, iter_checkpoint_root=iter_checkpoint_root)
     self_rows = all_convs.map_batches(
         lambda t: pa.table({"conv_id": t["conv_id"].combine_chunks(),
                             "cluster_id": t["conv_id"].combine_chunks()})
@@ -318,7 +320,8 @@ def cluster_matches(
         )
         return out.to_arrow().cast(_LABEL_SCHEMA)
 
-    return bucketed_groups(labeled.union(self_rows), "conv_id", pick_min)
+    return bucketed_groups(labeled.union(self_rows), "conv_id", pick_min,
+                           num_buckets)
 
 
 class Reclustered(NamedTuple):

@@ -273,7 +273,7 @@ def scorer_differential(pairs: ray.data.Dataset, features: ray.data.Dataset,
     from .scoring import attach_features, score_pairs
 
     cfg = cfg or PipelineConfig()
-    attached = attach_features(pairs, features).materialize()
+    attached = attach_features(pairs, features, 64).materialize()
     full = score_pairs(attached, stats_ref, cfg).materialize()
     base = score_pairs(attached, stats_ref,
                        dc_replace(cfg, scorer=baseline)).materialize()

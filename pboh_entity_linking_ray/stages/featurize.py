@@ -230,7 +230,7 @@ class Featurizer:
 
         # ordered stem-hash stream (repeats kept, capped) — consumed ONLY
         # by the window-context statistics build (stages/stats.py
-        # build_wfreq/build_wcooc), never shuffled by blocking
+        # build_token_stats/build_pair_stats), never shuffled by blocking
         rid_s = df["rid"].to_numpy().astype(np.int64)
         th_s = df["th"].to_numpy().astype(np.uint32)   # already masked
         pos = np.arange(len(rid_s)) - np.maximum.accumulate(
@@ -255,7 +255,8 @@ class Featurizer:
         )
 
 
-def build_stem_map(conv_docs, cfg: PipelineConfig | None = None):
+def build_stem_map(conv_docs, cfg: PipelineConfig | None = None, *,
+                   num_buckets: int):
     """Distinct corpus tokens → Porter stems, each stemmed exactly once
     cluster-wide (the WordFreqDict-style dictionary build,
     reference: index/WordFreqDict.scala:8-47): distinct per batch →
@@ -280,7 +281,8 @@ def build_stem_map(conv_docs, cfg: PipelineConfig | None = None):
 
     ds = conv_docs.map_batches(partial, batch_format="pyarrow",
                                batch_size=1024)
-    return bucketed_groups(ds, "tok", uniq_and_stem, engine="exchange")
+    return bucketed_groups(ds, "tok", uniq_and_stem, num_buckets,
+                           engine="exchange")
 
 
 def featurize(conv_docs, cfg: PipelineConfig | None = None, stem_ref=None):

@@ -170,7 +170,7 @@ def _pack_tokens_binary(t: pa.Table) -> pa.Table:
 
 
 def attach_features(pairs: ray.data.Dataset, features: ray.data.Dataset,
-                    num_buckets: int = 64) -> ray.data.Dataset:
+                    num_buckets: int) -> ray.data.Dataset:
     """Skinny pair rows ⋈ per-conv features, twice (side a, side b), via
     the bucketed co-group ``hash_join`` (functions/grouping.py): both
     sides hash-partition on the conv id and every bucket joins vectorized
@@ -189,7 +189,7 @@ def attach_features(pairs: ray.data.Dataset, features: ray.data.Dataset,
 
 
 def _attach(pairs: ray.data.Dataset, features: ray.data.Dataset,
-            num_buckets: int = 64, post=None,
+            num_buckets: int, post=None,
             skew_defense: bool = False,
             hot_frac: float = 0.01) -> ray.data.Dataset:
     """Shared body of ``attach_features`` (post=None) and
@@ -202,7 +202,10 @@ def _attach(pairs: ray.data.Dataset, features: ray.data.Dataset,
     everything — would otherwise pin its whole pair set on a single
     bucket task.  Output is identical either way (skew_join contract);
     the defense costs one sampled scan per join over already-
-    materialized input."""
+    materialized input.  A pair set of zero-column empty blocks (Ray's
+    output for an all-empty map) passes through as the empty result."""
+    if pairs.schema() is None:
+        return pairs
     feats = features.select_columns(["conv_id", "jw_text", "tokens"]) \
         .map_batches(_pack_tokens_binary, batch_format="pyarrow")
     fa = feats.rename_columns({"conv_id": "conv_a", "jw_text": "jw_a",
@@ -543,7 +546,7 @@ def score_pairs(pairs_with_features: ray.data.Dataset, stats: BroadcastStats,
 def attach_and_score(pairs: ray.data.Dataset, features: ray.data.Dataset,
                      stats: "BroadcastStats | ray.ObjectRef",
                      cfg: PipelineConfig | None = None,
-                     num_buckets: int = 64) -> ray.data.Dataset:
+                     *, num_buckets: int) -> ray.data.Dataset:
     """`attach_features` + `score_pairs` fused: the second feature join's
     bucket task scores its joined rows IN PLACE (hash_join ``post``
     hook), so the widest table of the pipeline — pair rows carrying both

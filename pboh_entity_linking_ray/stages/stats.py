@@ -133,16 +133,6 @@ def _wfreq_partial(batch: pa.Table) -> pa.Table:
     })
 
 
-def build_wfreq(features: ray.data.Dataset) -> ray.data.Dataset:
-    """token_hash → corpus occurrence count (stream positions)."""
-    from ..functions.grouping import bucketed_sum
-
-    partial = features.map_batches(
-        _wfreq_partial, batch_format="pyarrow", batch_size=512,
-    )
-    return bucketed_sum(partial, ["token_hash"], "occ_partial", "occ")
-
-
 def _wcooc_pair_keys(batch: pa.Table, window: int) -> np.ndarray:
     """Windowed pair keys: every token pairs with the next ``window``
     stream positions of the SAME conv — the ±K context-window co-count of
@@ -223,7 +213,7 @@ def _token_stats_fused_partial(batch: pa.Table) -> pa.Table:
 
 
 def build_token_stats(features: ray.data.Dataset,
-                      num_buckets: int = 64) -> ray.data.Dataset:
+                      num_buckets: int) -> ray.data.Dataset:
     """token_hash → (df, occ) — vocab and stream frequency fused into one
     exchange (bucketed_sum_multi)."""
     from ..functions.grouping import bucketed_sum_multi
@@ -234,30 +224,6 @@ def build_token_stats(features: ray.data.Dataset,
     return bucketed_sum_multi(partial, ["token_hash"],
                               {"df_partial": "df", "occ_partial": "occ"},
                               num_buckets, engine="exchange")
-
-
-def _pair_stats_fused_partial(batch: pa.Table, cap: int,
-                              window: int) -> pa.Table:
-    """(pair, cooc_partial, wcooc_partial): conversation-level co-counts
-    (bottom-k sample) and windowed co-counts share the packed key domain,
-    so both ride one shuffle."""
-    ck = _cooc_pair_keys(batch, cap)
-    wk = _wcooc_pair_keys(batch, window)
-    allk = np.concatenate([ck, wk]) if len(ck) or len(wk) else ck
-    if len(allk) == 0:
-        return pa.table({"pair": pa.array([], type=pa.int64()),
-                         "cooc_partial": pa.array([], type=pa.int64()),
-                         "wcooc_partial": pa.array([], type=pa.int64())})
-    uniq = np.unique(allk)
-    ci = np.searchsorted(uniq, ck)
-    wi = np.searchsorted(uniq, wk)
-    cooc_c = np.bincount(ci, minlength=len(uniq)).astype(np.int64)
-    wcooc_c = np.bincount(wi, minlength=len(uniq)).astype(np.int64)
-    return pa.table({
-        "pair": pa.array(uniq.view(np.int64), type=pa.int64()),
-        "cooc_partial": pa.array(cooc_c),
-        "wcooc_partial": pa.array(wcooc_c),
-    })
 
 
 def _pair_stats_packed_partial(batch: pa.Table, cap: int,
@@ -289,7 +255,7 @@ def _pair_stats_packed_partial(batch: pa.Table, cap: int,
 def build_pair_stats(features: ray.data.Dataset,
                      cfg: PipelineConfig | None = None,
                      emit_min: int = 1,
-                     num_buckets: int = 64) -> ray.data.Dataset:
+                     *, num_buckets: int) -> ray.data.Dataset:
     """pair → (count_conv, count_win) — conversation-level and windowed
     co-occurrence fused into one exchange (packed-lane combiner).
 
@@ -405,7 +371,8 @@ def build_mention_prior(conv_docs: ray.data.Dataset, sample_mod: int = 1):
 
 
 def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
-                                 sample_mod: int = 1) -> ray.data.Dataset:
+                                 sample_mod: int = 1,
+                                 *, num_buckets: int) -> ray.data.Dataset:
     """conv_docs → (entity, conc_e4) in ONE exchange: the mention→entity
     map is functional, so bucketing by entity co-locates each entity's
     whole mention group and the (mention,entity) sum AND the per-entity
@@ -433,7 +400,8 @@ def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
         )
         return out.to_arrow()
 
-    return bucketed_groups(partial, "entity", conc, engine="exchange")
+    return bucketed_groups(partial, "entity", conc, num_buckets,
+                           engine="exchange")
 
 
 def build_entity_prior(mention_prior: ray.data.Dataset) -> ray.data.Dataset:

@@ -21,6 +21,7 @@ from pboh_entity_linking_ray.sources.reading import read_parquet_clean
 import json
 import os
 import shutil
+import tempfile
 from collections.abc import Callable
 from typing import Any
 
@@ -64,11 +65,14 @@ class StageRunner:
         if self.is_complete(name):
             return read_parquet_clean(out_dir)
 
-        tmp = out_dir + ".tmp"
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        ds = fn()
-        ds.write_parquet(tmp)
+        # a private temp dir: two runners on one root never delete each
+        # other's in-flight write
+        tmp = tempfile.mkdtemp(dir=self.root, prefix=f"stage={name}.")
+        try:
+            fn().write_parquet(tmp)
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         if os.path.exists(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp, out_dir)

@@ -23,8 +23,8 @@ from pboh_entity_linking_ray.stages import scoring
 def feats_and_skewed_pairs(ray_session):
     cfg = PipelineConfig()
     c = generate_corpus(50, 7)
-    docs = canonicalize(ray.data.from_arrow(c.turns)).materialize()
-    stem_ref = ray.put(_concat_ds(build_stem_map(docs, cfg)))
+    docs = canonicalize(ray.data.from_arrow(c.turns), 8).materialize()
+    stem_ref = ray.put(_concat_ds(build_stem_map(docs, cfg, num_buckets=8)))
     feats = featurize(docs, cfg, stem_ref).materialize()
     convs = sorted(feats.to_pandas()["conv_id"])
     hot = convs[0]

@@ -16,7 +16,7 @@ from pboh_entity_linking_ray.stages.featurize import featurize
 
 
 def _features(corpus):
-    return featurize(canonicalize(rd.from_arrow(corpus.turns)))
+    return featurize(canonicalize(rd.from_arrow(corpus.turns), 8))
 
 
 def test_true_duplicates_share_a_block(ray_session):
@@ -35,7 +35,7 @@ def test_true_duplicates_share_a_block(ray_session):
 def test_pairs_unique_after_dedup(ray_session):
     corpus = generate_corpus(60, 22)
     blocked = add_block_keys(_features(corpus))
-    pairs = dedup_pairs(make_pairs(blocked)).to_pandas()
+    pairs = dedup_pairs(make_pairs(blocked, num_buckets=8), 8).to_pandas()
     assert pairs["pair_key"].is_unique
     assert (pairs["conv_a"] < pairs["conv_b"]).all()
 
@@ -48,7 +48,7 @@ def test_salting_accounts_for_capped_pairs(ray_session):
     cfg = PipelineConfig(block_cap=8)
     corpus = generate_corpus(60, 23)
     blocked = add_block_keys(_features(corpus), cfg)
-    pairs = dedup_pairs(make_pairs(blocked, cfg)).to_pandas()
+    pairs = dedup_pairs(make_pairs(blocked, cfg, num_buckets=8), 8).to_pandas()
     sizes = blocked.to_pandas().groupby("block_key").size()
     for bk, grp in pairs.groupby("block_key"):
         m = int(sizes[bk])
@@ -64,7 +64,7 @@ def test_oversized_block_pair_budget(ray_session):
     cfg = PipelineConfig(block_cap=8, max_pairs_per_block=40, salt_boundary=2)
     corpus = generate_corpus(120, 24)
     blocked = add_block_keys(_features(corpus), cfg)
-    pairs = make_pairs(blocked, cfg).to_pandas()
+    pairs = make_pairs(blocked, cfg, num_buckets=8).to_pandas()
     sizes = blocked.to_pandas().groupby("block_key").size()
     hot = sizes[sizes > 2 * cfg.block_cap]
     assert len(hot) > 0, "fixture should produce at least one hot block"
@@ -90,7 +90,7 @@ def test_blocker_registry_selects_families(ray_session):
 
     c = generate_corpus(40, 5)
     cfg = PipelineConfig()
-    feats = featurize(canonicalize(rd.from_arrow(c.turns)), cfg).materialize()
+    feats = featurize(canonicalize(rd.from_arrow(c.turns), 8), cfg).materialize()
 
     sig_only = add_block_keys(
         feats, replace(cfg, blockers=("signature",))).to_pandas()

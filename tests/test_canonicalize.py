@@ -17,7 +17,7 @@ def _expected_docs(turns: pa.Table) -> dict[str, list[str]]:
 
 def test_per_turn_text_equality(ray_session):
     corpus = generate_corpus(60, 11)
-    out = canonicalize(rd.from_arrow(corpus.turns)).to_pandas()
+    out = canonicalize(rd.from_arrow(corpus.turns), 8).to_pandas()
     expected = _expected_docs(corpus.turns)
     assert len(out) == len(expected)
     for _, row in out.iterrows():
@@ -30,14 +30,14 @@ def test_row_order_invariance(ray_session):
     t = corpus.turns
     perm = np.random.default_rng(99).permutation(t.num_rows)
     shuffled = t.take(pa.array(perm))
-    a = canonicalize(rd.from_arrow(t)).to_pandas().sort_values("conv_id").reset_index(drop=True)
-    b = canonicalize(rd.from_arrow(shuffled)).to_pandas().sort_values("conv_id").reset_index(drop=True)
+    a = canonicalize(rd.from_arrow(t), 8).to_pandas().sort_values("conv_id").reset_index(drop=True)
+    b = canonicalize(rd.from_arrow(shuffled), 8).to_pandas().sort_values("conv_id").reset_index(drop=True)
     assert a.equals(b)
 
 
 def test_sig_reflects_roles_and_tools(ray_session):
     corpus = generate_corpus(40, 13)
-    out = canonicalize(rd.from_arrow(corpus.turns)).to_pandas()
+    out = canonicalize(rd.from_arrow(corpus.turns), 8).to_pandas()
     df = corpus.turns.to_pandas().sort_values(["conv_id", "turn_idx"])
     expected_sig = df.groupby("conv_id").apply(
         lambda g: "|".join(r + ":" + t for r, t in zip(g["role"], g["tool"])),

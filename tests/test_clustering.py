@@ -29,7 +29,7 @@ def test_cc_matches_unionfind_oracle(ray_session):
     ds = rd.from_arrow(pa.table({
         "u": [a for a, _ in edges], "v": [b for _, b in edges],
     }))
-    got = connected_components(ds).to_pandas()
+    got = connected_components(ds, 8).to_pandas()
     expect = cluster_edges(edges)
     got_map = dict(zip(got["conv_id"], got["cluster_id"]))
     assert got_map == {k: v for k, v in expect.items()}
@@ -39,7 +39,7 @@ def test_cc_long_chain(ray_session):
     # a path graph exercises the O(log n) contraction depth
     nodes = [f"c{i:03d}" for i in range(64)]
     ds = rd.from_arrow(pa.table({"u": nodes[:-1], "v": nodes[1:]}))
-    got = connected_components(ds).to_pandas()
+    got = connected_components(ds, 8).to_pandas()
     assert set(got["cluster_id"]) == {nodes[0]}
     assert len(got) == 64
 
@@ -49,7 +49,7 @@ def test_cluster_matches_includes_singletons(ray_session):
         "conv_a": ["a", "b"], "conv_b": ["b", "c"],
     }))
     universe = rd.from_arrow(pa.table({"conv_id": ["a", "b", "c", "d", "e"]}))
-    out = cluster_matches(matches, universe).to_pandas().sort_values("conv_id")
+    out = cluster_matches(matches, universe, 8).to_pandas().sort_values("conv_id")
     assert dict(zip(out["conv_id"], out["cluster_id"])) == {
         "a": "a", "b": "a", "c": "a", "d": "d", "e": "e",
     }
@@ -63,7 +63,7 @@ def test_cc_distributed_rounds_match_local_finish(ray_session):
     ds = rd.from_arrow(pa.table({
         "u": [a for a, _ in edges], "v": [b for _, b in edges],
     }))
-    got = connected_components(ds, local_finish_rows=0).to_pandas()
+    got = connected_components(ds, 8, local_finish_rows=0).to_pandas()
     expect = cluster_edges(edges)
     assert dict(zip(got["conv_id"], got["cluster_id"])) == dict(expect.items())
 
@@ -77,10 +77,10 @@ def test_cc_iter_checkpoint_resume(ray_session, tmp_path):
     root = str(tmp_path / "cc_ckpt")
     nodes = [f"c{i:03d}" for i in range(48)]
     ds = rd.from_arrow(pa.table({"u": nodes[:-1], "v": nodes[1:]}))
-    base = connected_components(ds, local_finish_rows=0)\
+    base = connected_components(ds, 8, local_finish_rows=0)\
         .to_pandas().sort_values("conv_id").reset_index(drop=True)
     ckpt = connected_components(
-        ds, local_finish_rows=0, iter_checkpoint_root=root,
+        ds, 8, local_finish_rows=0, iter_checkpoint_root=root,
         checkpoint_every=1,
     ).to_pandas().sort_values("conv_id").reset_index(drop=True)
     assert ckpt.equals(base)
@@ -92,7 +92,7 @@ def test_cc_iter_checkpoint_resume(ray_session, tmp_path):
         "u": pa.array([], type=pa.string()),
         "v": pa.array([], type=pa.string())}))
     resumed = connected_components(
-        empty, local_finish_rows=0, iter_checkpoint_root=root,
+        empty, 8, local_finish_rows=0, iter_checkpoint_root=root,
         checkpoint_every=1,
     ).to_pandas().sort_values("conv_id").reset_index(drop=True)
     assert resumed.equals(base)
@@ -104,8 +104,8 @@ def test_cc_edge_order_invariance(ray_session):
     rev = list(reversed(edges))
     ds1 = rd.from_arrow(pa.table({"u": [a for a, _ in edges], "v": [b for _, b in edges]}))
     ds2 = rd.from_arrow(pa.table({"u": [a for a, _ in rev], "v": [b for _, b in rev]}))
-    g1 = connected_components(ds1).to_pandas().sort_values("conv_id").reset_index(drop=True)
-    g2 = connected_components(ds2).to_pandas().sort_values("conv_id").reset_index(drop=True)
+    g1 = connected_components(ds1, 8).to_pandas().sort_values("conv_id").reset_index(drop=True)
+    g2 = connected_components(ds2, 8).to_pandas().sort_values("conv_id").reset_index(drop=True)
     assert g1.equals(g2)
 
 

@@ -165,16 +165,25 @@ def test_exchange_sparse_keys_empty_buckets(ray_session):
 
 def test_buckets_for_sizing():
     from pboh_entity_linking_ray.functions.grouping import (
+        BUCKETS_PER_CPU,
         TWO_ROUND_THRESHOLD,
         buckets_for,
     )
 
-    assert buckets_for(20_000) == 64            # floor
-    assert buckets_for(250_000) == 64           # 10 buckets needed -> floor
-    assert buckets_for(3_200_000) == 128        # 128 x 25k
-    assert buckets_for(100_000_000) == 4096     # two-round territory
-    assert buckets_for(100_000_000) > TWO_ROUND_THRESHOLD
-    assert buckets_for(0) == 64
+    # the floor: BUCKETS_PER_CPU × cluster CPUs
+    assert BUCKETS_PER_CPU == 2
+    assert buckets_for(0, 25_000, 1) == 2
+    assert buckets_for(0, 25_000, 4) == 8
+    assert buckets_for(0, 25_000, 32) == 64     # the 32-CPU bench
+    assert buckets_for(100_000, 25_000, 4) == 8     # 4 needed -> floor
+    # then the power of two >= rows / rows_per_bucket
+    assert buckets_for(250_000, 25_000, 1) == 16
+    assert buckets_for(3_200_000, 25_000, 4) == 128     # 128 x 25k
+    assert buckets_for(3_200_001, 25_000, 4) == 256
+    assert buckets_for(250_000, 1_000, 4) == 256
+    # then the two-round threshold
+    assert buckets_for(100_000_000, 25_000, 4) == 4096
+    assert buckets_for(100_000_000, 25_000, 4) > TWO_ROUND_THRESHOLD
 
 
 def test_topk_per_group_matches_pandas(ray_session):

@@ -188,7 +188,30 @@ def test_touched_region_cc_equals_full_union_cc(ray_session):
             sorted(set(kept["conv_id"]) | changed), type=pa.string())})
         want = cluster_matches(
             inc.matches.select_columns(["conv_a", "conv_b"])
-            .union(rd.from_arrow(base_edges)), rd.from_arrow(universe)) \
+            .union(rd.from_arrow(base_edges)), rd.from_arrow(universe), 8) \
             .to_pandas().sort_values("conv_id").reset_index(drop=True)
 
         pd.testing.assert_frame_equal(got, want)
+
+
+def test_empty_batch_keeps_base_clusters(ray_session):
+    """A micro-batch with no rows scores nothing and leaves the base
+    clusters unchanged (Ray hands the empty batch through as zero-column
+    blocks)."""
+    import ray.data as rd
+
+    from pboh_entity_linking_ray.pipelines.incremental import (
+        fold_incremental, run_incremental)
+    from pboh_entity_linking_ray.pipelines.linkage import run_linkage
+    from pboh_entity_linking_ray.sources.synthetic import generate_corpus
+
+    turns = generate_corpus(40, 3).turns
+    base = run_linkage(rd.from_arrow(turns))
+    base.clusters = base.clusters.materialize()
+    inc = run_incremental(base, rd.from_arrow(turns.slice(0, 0)))
+    assert inc.pairs.count() == 0
+    assert inc.scored.count() == 0
+    want = base.clusters.to_pandas()
+    pd.testing.assert_frame_equal(inc.clusters.to_pandas(), want)
+    pd.testing.assert_frame_equal(
+        fold_incremental(base, inc).clusters.to_pandas(), want)

@@ -133,3 +133,22 @@ def test_schema_evolution_union_by_name(tmp_path_factory, ray_session):
         .to_pandas().sort_values("a").reset_index(drop=True)
     assert df2["c"].isna().tolist() == [True, True, False]
     assert list(df2.columns) == ["a", "c"]
+
+
+def test_union_by_name_filter_outside_projection(tmp_path_factory,
+                                                 ray_session):
+    """Divergent shards, a projection and a filter on a column outside
+    it: the unified schema is widened for the filter column like a
+    stripped one, and the extra column is dropped after the read."""
+    d = str(tmp_path_factory.mktemp("evolve_filter"))
+    pq.write_table(pa.table({"a": pa.array([1, 2], type=pa.int64()),
+                             "b": pa.array(["x", "y"])}),
+                   f"{d}/old.parquet")
+    pq.write_table(pa.table({"a": pa.array([3, 4], type=pa.int64()),
+                             "b": pa.array(["z", "w"]),
+                             "c": pa.array([7, 1], type=pa.int64())}),
+                   f"{d}/new.parquet")
+    df = read_parquet_clean(d, columns=["a"], filter=pds.field("c") > 5,
+                            union_by_name=True).to_pandas()
+    assert list(df.columns) == ["a"]
+    assert df["a"].tolist() == [3]

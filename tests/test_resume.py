@@ -73,3 +73,20 @@ def test_manifest_empty_token_counter(ray_session, tmp_path):
     with open(os.path.join(root, "manifest", "features.json")) as f:
         feats_m = json.load(f)
     assert feats_m["metrics"]["empty_token_convs"] == 2
+
+
+def test_stage_write_leaves_other_tmp_dirs(ray_session, tmp_path):
+    """Each stage write goes to a private temp dir: a second runner's
+    in-flight ``stage=<name>.tmp`` on the same root survives it."""
+    import pyarrow as pa
+
+    from pboh_entity_linking_ray.state.checkpoint import StageRunner
+
+    runner = StageRunner(str(tmp_path / "ckpt4"))
+    other = runner.stage_dir("rows") + ".tmp"
+    os.makedirs(other)
+    open(os.path.join(other, "sentinel"), "w").close()
+    out = runner.run("rows", lambda: rd.from_arrow(pa.table({"a": [1, 2, 3]})))
+    assert sorted(out.to_pandas()["a"]) == [1, 2, 3]
+    assert runner.read_manifest("rows")["row_count"] == 3
+    assert os.path.exists(os.path.join(other, "sentinel"))

@@ -37,7 +37,7 @@ def test_read_turns_tsv_roundtrip(tmp_path, ray_session):
     # source-agnostic: canonicalize consumes it directly
     from pboh_entity_linking_ray.stages.canonicalize import canonicalize
 
-    conv = canonicalize(ds).to_pandas().set_index("conv_id")
+    conv = canonicalize(ds, 8).to_pandas().set_index("conv_id")
     assert conv.loc["a", "mention_doc"] == "first\nsecond"
 
 

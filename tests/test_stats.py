@@ -16,7 +16,7 @@ from pboh_entity_linking_ray.stages.stats import (
 
 
 def _conv_docs(corpus):
-    return canonicalize(rd.from_arrow(corpus.turns))
+    return canonicalize(rd.from_arrow(corpus.turns), 8)
 
 
 def test_vocab_df_matches_oracle(ray_session):
@@ -123,7 +123,7 @@ def test_entity_prior_fused_matches_two_stage(ray_session):
     conv = _conv_docs(corpus).materialize()
     two = (build_entity_prior(build_mention_prior(conv)).to_pandas()
            .sort_values("entity").reset_index(drop=True))
-    one = (build_entity_prior_from_docs(conv).to_pandas()
+    one = (build_entity_prior_from_docs(conv, num_buckets=8).to_pandas()
            .sort_values("entity").reset_index(drop=True))
     import pandas as pd
 

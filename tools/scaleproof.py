@@ -97,7 +97,7 @@ def main() -> int:
         from dataclasses import replace
 
         cfg = replace(cfg, rows_per_bucket=args.rows_per_bucket)
-    nb = buckets_for(args.n_convs, cfg.rows_per_bucket)
+    nb = buckets_for(args.n_convs, cfg.rows_per_bucket, args.num_cpus)
 
     def turns():
         return rd.read_parquet(f"{d}/turns.parquet")
