@@ -203,7 +203,7 @@ OPS_DEFAULT = [
     "q23_asof_join", "q24_sliding_window", "q25_interval_join",
     "q26_simhash_neardup", "q27_stratified_sample", "q28_topk_per_group",
     "q29_doc_len_quantiles", "q30_customers_without_big_orders",
-    "q31_distinct_users", "q32_prep_corpus", "q33_pivot_user_events",
+    "q31_distinct_users", "q33_pivot_user_events",
     "q34_unpivot_user_events", "q35_doc_len_quantiles_by_lang",
     "q36_event_lag", "q37_events_of_big_purchasers",
     "q38_shipping_priority", "q39_order_rank", "q40_running_revenue",

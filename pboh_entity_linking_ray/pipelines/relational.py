@@ -329,20 +329,17 @@ FROM (SELECT doc_id, regexp_extract_all(lower(text), '[a-z0-9]+') AS toks
 _STOP_SQL = "[" + ", ".join(f"'{w}'" for w in sorted(STOPWORDS)) + "]"
 
 
-def quality_metrics(t: pa.Table,
-                    keep: tuple[str, ...] = ("doc_id",)) -> pa.Table:
+def quality_metrics(t: pa.Table) -> pa.Table:
     """Per-row quality metrics (length / stop-word ratio / token shape)
     with e4 fixed-point ratios via integer division → exact
-    cross-engine.  ``keep`` columns of the input ride through unchanged
-    so composed pipelines (q32 prep) can filter on ``quality_ok``
-    without a re-join."""
+    cross-engine."""
     import polars as pl
 
     stop = sorted(STOPWORDS)
     df = pl.from_arrow(t)
     toks = pl.col("text").str.to_lowercase().str.extract_all("[a-z0-9]+")
     out = df.select(
-        *[pl.col(c) for c in keep],
+        pl.col("doc_id"),
         toks.list.len().cast(pl.Int64).alias("n_tokens"),
         toks.list.eval(pl.element().is_in(stop)).list.sum()
             .fill_null(0).cast(pl.Int64).alias("n_stop"),
@@ -354,14 +351,13 @@ def quality_metrics(t: pa.Table,
     stop_e4 = np.where(n > 0, (out["n_stop"].to_numpy() * 10000) // n_safe, 0)
     mlen_e4 = np.where(n > 0, (out["total_len"].to_numpy() * 10000) // n_safe, 0)
     ok = (n >= 5) & (stop_e4 <= 5000) & (mlen_e4 >= 20000) & (mlen_e4 <= 120000)
-    cols = {c: out[c].to_arrow() for c in keep}
-    cols.update({
+    return pa.table({
+        "doc_id": out["doc_id"].to_arrow(),
         "n_tokens": out["n_tokens"].to_arrow(),
         "stop_ratio_e4": pa.array(stop_e4.astype(np.int64)),
         "mean_token_len_e4": pa.array(mlen_e4.astype(np.int64)),
         "quality_ok": pa.array(ok, type=pa.bool_()),
     })
-    return pa.table(cols)
 
 
 def q08_quality_score(sf_dir: str):

@@ -25,7 +25,6 @@ from pboh_entity_linking_ray.pipelines import (
     fuzzy,
     linkage_queries,
     multimodal,
-    prep,
     relational,
     sampling,
     search,
@@ -36,7 +35,7 @@ from pboh_entity_linking_ray.pipelines import (
 
 PIPELINE_MODULES = (
     relational, textops, sampling, temporal, analytics, fuzzy, ann,
-    multimodal, cardinality, curation, er, search, prep, training,
+    multimodal, cardinality, curation, er, search, training,
     linkage_queries,
 )
 
