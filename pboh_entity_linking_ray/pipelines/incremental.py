@@ -47,8 +47,8 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.grouping import buckets_for
-from ..stages.blocking import add_block_keys, dedup_pairs, \
-    make_pairs_incremental
+from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs, \
+    tag_new
 from ..stages.canonicalize import canonicalize
 from ..stages.clustering import _collect, recluster, rows_in
 from ..stages.featurize import build_stem_map, featurize
@@ -66,14 +66,6 @@ class IncrementalResult:
         self.matches = matches
         self.clusters = clusters        # conv_id → cluster_id for ALL convs
         self.region = region            # re-labelled rows (recluster)
-
-
-def _tag(ds: ray.data.Dataset, flag: int) -> ray.data.Dataset:
-    def f(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "is_new", pa.array(np.full(t.num_rows, flag, dtype=np.int8)))
-
-    return ds.map_batches(f, batch_format="pyarrow")
 
 
 def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
@@ -142,11 +134,10 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
     old_blocked = add_block_keys(old_features, cfg) \
         .map_batches(probe, batch_format="pyarrow")
 
-    blocked = _tag(old_blocked, 0).union(_tag(new_blocked, 1))
+    blocked = tag_new(old_blocked, 0).union(tag_new(new_blocked, 1))
     pairs = runner.run(
         "inc_pairs",
-        lambda: dedup_pairs(make_pairs_incremental(blocked, cfg,
-                                                   num_buckets=nb), nb))
+        lambda: dedup_pairs(make_pairs(blocked, cfg, num_buckets=nb), nb))
     if not runner.root:
         # resolve once: the attach consumes pairs twice (skew-defense
         # detection pass + the join itself) and would re-run the whole

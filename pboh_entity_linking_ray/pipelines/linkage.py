@@ -22,7 +22,8 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.grouping import buckets_for
-from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs
+from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs, \
+    tag_new
 from ..stages.canonicalize import canonicalize
 from ..stages.clustering import cluster_matches
 from ..stages.featurize import build_stem_map, featurize
@@ -45,9 +46,15 @@ def _concat_ds(ds: ray.data.Dataset) -> pa.Table:
     """Driver-side collect of a small Dataset as ONE Arrow table —
     straight block concat (combine_chunks for dense numpy views), no
     pandas round-trip (`to_pandas` on a 2M-row table measured 3-4x the
-    cost of the concat it wraps)."""
+    cost of the concat it wraps).  A Dataset with no blocks at all (a
+    checkpointed stage read back from an empty batch) gives the empty
+    table of its schema, or no columns when it has none."""
     all_blocks = ray.get(ds.to_arrow_refs())
     blocks = [b for b in all_blocks if b.num_rows] or all_blocks[:1]
+    if not blocks:
+        schema = ds.schema()
+        return (pa.table({}) if schema is None
+                else schema.base_schema.empty_table())
     return pa.concat_tables(blocks, promote_options="default").combine_chunks()
 
 
@@ -156,7 +163,7 @@ def run_linkage(
                        .select_columns(["pair", val]))
         return pa.table({"pair": t["pair"], "count": t[val]})
 
-    blocked = add_block_keys(features, cfg)
+    blocked = tag_new(add_block_keys(features, cfg), 1)
     pairs_raw = make_pairs(blocked, cfg, num_buckets=nb)
     pairs_lazy = dedup_pairs(pairs_raw, num_buckets=nb)
 

@@ -8,7 +8,8 @@ Sub-steps, each a named shuffle (SURVEY.md §7.3):
    ~40 B/row; features are re-attached at scoring time from the broadcast
    FeatureStore (stages/scoring.py), so the blocking exchange never moves
    token sketches or text.
-2. ``make_pairs``      — ONE hash-partition by key hash; singleton
+2. ``make_pairs``      — ONE hash-partition by key hash over rows
+   flagged ``is_new`` (``tag_new``; a batch run flags every row); singleton
    pruning, size-batched vectorized pair emission, salting and capped
    accounting all run inside the receiving bucket (sizes are locally
    known — no pre-count, no broadcast, no driver collect).  **Explicit
@@ -190,75 +191,11 @@ def _salted_pair_indices(order: np.ndarray, cfg: PipelineConfig
     return i_idx, j_idx, m * (m - 1) // 2 - len(i_idx)
 
 
-def _emit_pairs_bucket(bucket: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    """ALL groups of a bucket → skinny pair rows in one vectorized pass.
-    The bucket arrives sorted by (own_key, mh0, conv_id).
-
-    Pair-index generation is batched BY GROUP SIZE (a group-at-a-time
-    implementation measured ~1.2 ms of numpy overhead per emitted pair).
-    Singleton keys pair nothing and die here — INSIDE the shuffle's
-    receiving task, no pre-count pass.  Oversized groups take the salted
-    chunk+seam path; because the whole block is local, its non-emitted
-    count is EXACT: C(m,2) − emitted, riding on the group's FIRST pair
-    row (0 elsewhere) so a plain Sum over raw make_pairs output is the
-    global capped total (pairs-stage manifest; sum BEFORE dedup_pairs —
-    dedup may drop a marker row's duplicate).
-    Cross-block duplicates are removed afterwards by ``dedup_pairs`` —
-    cheap, because these rows carry no features.
-    """
-    n = bucket.num_rows
-    if n == 0:
-        return _PAIR_SCHEMA.empty_table()
-    gk = np.asarray(bucket["own_key"], dtype=np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], gk[1:] != gk[:-1])))
-    bounds = np.append(starts, n)
-    sizes = np.diff(bounds)
-
-    ii_parts: list[np.ndarray] = []
-    jj_parts: list[np.ndarray] = []
-    cap_parts: list[np.ndarray] = []
-
-    # vector path: full pairing for every group with 2 <= m <= block_cap,
-    # batched by size
-    small = (sizes >= 2) & (sizes <= cfg.block_cap)
-    for msize in np.unique(sizes[small]):
-        ia, ib = _triu(int(msize))
-        sel = small & (sizes == msize)
-        base = bounds[:-1][sel]
-        ii_parts.append((base[:, None] + ia[None, :]).ravel())
-        jj_parts.append((base[:, None] + ib[None, :]).ravel())
-        cap_parts.append(np.zeros(len(base) * len(ia), dtype=np.int64))
-
-    # salted path: oversized (hot) groups — chunked pairs + seam windows,
-    # pair budget bounded by max_pairs_per_block (work per hot block is
-    # O(budget) regardless of its size, so one bucket never serializes)
-    big = np.flatnonzero(sizes > cfg.block_cap)
-    if len(big):
-        for g in big:
-            s, e = bounds[g], bounds[g + 1]
-            # rows already (mh0, conv_id)-sorted within the group
-            order = np.arange(s, e)
-            gi, gj, capped = _salted_pair_indices(order, cfg)
-            ii_parts.append(gi)
-            jj_parts.append(gj)
-            caps = np.zeros(len(gi), dtype=np.int64)
-            if len(gi):
-                caps[0] = capped
-            cap_parts.append(caps)
-
-    if not ii_parts:
-        return _PAIR_SCHEMA.empty_table()
-    return _pairs_from_indices(bucket,
-                               np.concatenate(ii_parts),
-                               np.concatenate(jj_parts),
-                               np.concatenate(cap_parts))
-
-
 def _pairs_from_indices(bucket: pa.Table, i_idx: np.ndarray,
                         j_idx: np.ndarray,
                         capped_col: np.ndarray) -> pa.Table:
-    """Shared tail of the full and incremental pair emitters: canonical
-    in-pair order + pair_key build from bucket row indices."""
+    """Tail of the pair emitter: canonical in-pair order + pair_key build
+    from bucket row indices."""
     conv = np.asarray(bucket["conv_id"], dtype=object)
     swap = conv[i_idx] > conv[j_idx]
     ai = pa.array(np.where(swap, j_idx, i_idx))
@@ -283,53 +220,30 @@ def _pairs_from_indices(bucket: pa.Table, i_idx: np.ndarray,
     ).cast(_PAIR_SCHEMA)
 
 
-def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
-               *, num_buckets: int):
-    """ONE hash-partition by block-key hash; singleton pruning, salting
-    and capped accounting all happen INSIDE the receiving bucket — every
-    row of a key co-locates, so sizes are locally known, nothing is
-    counted up front, broadcast, or collected to the driver.
+def _emit_pairs_bucket(bucket: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    """ALL groups of a bucket → skinny pair rows in one vectorized pass.
+    The bucket carries an ``is_new`` flag and arrives sorted (own_key,
+    is_new DESC, mh0, conv_id) — new members lead each group.  Emits
+    ONLY pairs touching at least one new conversation (new×new triu +
+    new×old cross); old×old pairs were scored by the base run and are
+    never re-emitted — that asymmetry is the entire incremental win.  A
+    batch run tags every row new, so every group pairs in full.
 
-    Skew safety without pre-splitting: a hot block's emitted pairs are
-    bounded by ``max_pairs_per_block`` (chunk size shrinks as the block
-    grows, _salted_pair_indices), so the per-block work a bucket task can
-    absorb is O(budget) regardless of block size — the reference instead
-    silently skips oversized documents
-    (src/main/scala/eval/EvalOnDatasets.scala:172; the north_rule forbids
-    silent drops, hence the exact capped_pairs accounting)."""
-    cfg = cfg or PipelineConfig()
+    Pair-index generation is batched by (group size, new count) shape (a
+    group-at-a-time implementation measured ~1.2 ms of numpy overhead
+    per emitted pair).  Singleton keys and groups with zero new members
+    die here, INSIDE the shuffle's receiving task, no pre-count pass.
 
-    from ..functions.grouping import bucketed_groups
-
-    def per_bucket(bucket: pa.Table) -> pa.Table:
-        if bucket.num_rows == 0:
-            return _PAIR_SCHEMA.empty_table()
-        import polars as pl
-
-        ordered = (pl.from_arrow(bucket)
-                   .sort(["own_key", "mh0", "conv_id"])
-                   .to_arrow().cast(bucket.schema))   # polars → large_string
-        return _emit_pairs_bucket(ordered, cfg)
-
-    return bucketed_groups(blocked, "own_key", per_bucket, num_buckets,
-                           engine="exchange",
-                           repartition=False)
-
-
-def _emit_pairs_bucket_incr(bucket: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    """Incremental variant of ``_emit_pairs_bucket``: the bucket carries
-    an ``is_new`` flag and arrives sorted (own_key, is_new DESC, mh0,
-    conv_id) — new members lead each group.  Emits ONLY pairs touching
-    at least one new conversation (new×new triu + new×old cross);
-    old×old pairs were scored by the base run and never re-emitted —
-    that asymmetry is the entire incremental win.  Groups with zero new
-    members die here, inside the shuffle's receiving task.
-
-    Oversized groups reuse the salted chunk+seam path for the new×new
+    Oversized groups take the salted chunk+seam path for the new×new
     part and stripe the new×old cross deterministically under the same
-    ``max_pairs_per_block`` budget; non-emitted NEW-touching pairs are
-    counted exactly on the group's first pair row (old×old pairs are out
-    of scope by definition, not "capped")."""
+    ``max_pairs_per_block`` budget; because the whole block is local, its
+    non-emitted NEW-touching count is EXACT and rides on the group's
+    FIRST pair row (0 elsewhere), so a plain Sum over raw make_pairs
+    output is the global capped total (pairs-stage manifest; sum BEFORE
+    dedup_pairs — dedup may drop a marker row's duplicate).  Old×old
+    pairs are out of scope by definition, not "capped".  Cross-block
+    duplicates are removed afterwards by ``dedup_pairs`` — cheap,
+    because these rows carry no features."""
     n = bucket.num_rows
     if n == 0:
         return _PAIR_SCHEMA.empty_table()
@@ -419,12 +333,33 @@ def _emit_pairs_bucket_incr(bucket: pa.Table, cfg: PipelineConfig) -> pa.Table:
                                np.concatenate(cap_parts))
 
 
-def make_pairs_incremental(blocked: ray.data.Dataset,
-                           cfg: PipelineConfig | None = None,
-                           *, num_buckets: int):
-    """``make_pairs`` over a union of base and new blocked rows (extra
-    ``is_new`` int8 column): same one-exchange co-location, but the
-    bucket task emits only new-touching pairs (``_emit_pairs_bucket_incr``)."""
+def tag_new(ds: ray.data.Dataset, is_new: int) -> ray.data.Dataset:
+    """Append the int8 ``is_new`` flag ``make_pairs`` reads: 1 for the
+    rows being linked, 0 for base rows they are probed against."""
+    def f(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "is_new", pa.array(np.full(t.num_rows, is_new, dtype=np.int8)))
+
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
+               *, num_buckets: int):
+    """ONE hash-partition of ``tag_new``-flagged blocked rows by block-key
+    hash; singleton pruning, salting and capped accounting all happen
+    INSIDE the receiving bucket — every row of a key co-locates, so sizes
+    are locally known, nothing is counted up front, broadcast, or
+    collected to the driver.  Only pairs touching a new row are emitted
+    (``_emit_pairs_bucket``): a batch run tags every row new, an
+    incremental run tags the probed base rows old.
+
+    Skew safety without pre-splitting: a hot block's emitted pairs are
+    bounded by ``max_pairs_per_block`` (chunk size shrinks as the block
+    grows, _salted_pair_indices), so the per-block work a bucket task can
+    absorb is O(budget) regardless of block size — the reference instead
+    silently skips oversized documents
+    (src/main/scala/eval/EvalOnDatasets.scala:172; the north_rule forbids
+    silent drops, hence the exact capped_pairs accounting)."""
     cfg = cfg or PipelineConfig()
 
     from ..functions.grouping import bucketed_groups
@@ -437,11 +372,15 @@ def make_pairs_incremental(blocked: ray.data.Dataset,
         ordered = (pl.from_arrow(bucket)
                    .sort(["own_key", "is_new", "mh0", "conv_id"],
                          descending=[False, True, False, False])
-                   .to_arrow().cast(bucket.schema))
-        return _emit_pairs_bucket_incr(ordered, cfg)
+                   .to_arrow().cast(bucket.schema))   # polars → large_string
+        return _emit_pairs_bucket(ordered, cfg)
 
     return bucketed_groups(blocked, "own_key", per_bucket, num_buckets,
                            engine="exchange", repartition=False)
+
+
+# perfbench/tracing.py wraps the stage under this name as well
+make_pairs_incremental = make_pairs
 
 
 def dedup_pairs(pairs: ray.data.Dataset, num_buckets: int):

@@ -194,10 +194,11 @@ def test_touched_region_cc_equals_full_union_cc(ray_session):
         pd.testing.assert_frame_equal(got, want)
 
 
-def test_empty_batch_keeps_base_clusters(ray_session):
+def test_empty_batch_keeps_base_clusters(ray_session, tmp_path):
     """A micro-batch with no rows scores nothing and leaves the base
-    clusters unchanged (Ray hands the empty batch through as zero-column
-    blocks)."""
+    clusters unchanged, in memory (Ray hands the empty batch through as
+    zero-column blocks) and checkpointed (a stage reads back with no
+    blocks at all)."""
     import ray.data as rd
 
     from pboh_entity_linking_ray.pipelines.incremental import (
@@ -208,10 +209,14 @@ def test_empty_batch_keeps_base_clusters(ray_session):
     turns = generate_corpus(40, 3).turns
     base = run_linkage(rd.from_arrow(turns))
     base.clusters = base.clusters.materialize()
-    inc = run_incremental(base, rd.from_arrow(turns.slice(0, 0)))
-    assert inc.pairs.count() == 0
-    assert inc.scored.count() == 0
     want = base.clusters.to_pandas()
-    pd.testing.assert_frame_equal(inc.clusters.to_pandas(), want)
-    pd.testing.assert_frame_equal(
-        fold_incremental(base, inc).clusters.to_pandas(), want)
+    for root in (None, str(tmp_path / "inc")):
+        inc = run_incremental(base, rd.from_arrow(turns.slice(0, 0)),
+                              checkpoint_root=root)
+        assert inc.pairs.count() == 0
+        assert inc.scored.count() == 0
+        # a checkpointed read-back also carries the hive `stage` column
+        cols = list(want.columns)
+        pd.testing.assert_frame_equal(inc.clusters.to_pandas()[cols], want)
+        pd.testing.assert_frame_equal(
+            fold_incremental(base, inc).clusters.to_pandas()[cols], want)
