@@ -29,12 +29,6 @@ def stable_u64(s: str | bytes) -> int:
     return int.from_bytes(hashlib.blake2b(s, digest_size=8).digest(), "little")
 
 
-def stable_u32(s: str | bytes) -> int:
-    if isinstance(s, str):
-        s = s.encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(s, digest_size=4).digest(), "little")
-
-
 def hash_strings_u64(values, *, seed: int = 0) -> np.ndarray:
     """Vectorized stable 64-bit hash of a string column → uint64 ndarray.
 

@@ -13,7 +13,6 @@ used in every DuckDB oracle query (``regexp_extract_all(lower(text),
 
 from __future__ import annotations
 
-import numpy as np
 import polars as pl
 import pyarrow as pa
 
@@ -99,7 +98,8 @@ def normalize_title_series(col) -> pl.Series:
         for ent, ch in _HTML_ENTITIES.items():
             s = s.str.replace_all(ent, ch, literal=True)
     s = s.str.replace_all("_", " ", literal=True).str.strip_chars()
-    hexes = (s.str.extract_all(r"%[0-9A-Fa-f]{2}").explode().drop_nulls()
+    hexes = (s.str.extract_all(r"%[0-9A-Fa-f]{2}")
+             .explode(empty_as_null=True).drop_nulls()
              .unique().to_list())
     for h in hexes:
         try:
@@ -129,22 +129,3 @@ def shingles(tokens: list[str], k: int) -> list[str]:
     if len(tokens) < k:
         return [" ".join(tokens)] if tokens else []
     return [" ".join(tokens[i : i + k]) for i in range(len(tokens) - k + 1)]
-
-
-def token_lists_to_hashes(token_lists: pl.Series, *, seed: int = 0) -> list[np.ndarray]:
-    """Hash a Series of list<str> to per-row unique uint64 arrays.
-
-    One vectorized hash over the exploded flat token column (no Python
-    loop over tokens), then split back per row.
-    """
-    lengths = token_lists.list.len().fill_null(0).to_numpy()
-    flat = token_lists.explode().drop_nulls()
-    if len(flat) == 0:
-        return [np.empty(0, dtype=np.uint64) for _ in range(len(token_lists))]
-    hashed = flat.hash(seed=seed).to_numpy().astype(np.uint64)
-    out: list[np.ndarray] = []
-    offset = 0
-    for n in lengths:
-        out.append(np.unique(hashed[offset : offset + int(n)]))
-        offset += int(n)
-    return out

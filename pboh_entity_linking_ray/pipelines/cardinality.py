@@ -196,7 +196,7 @@ def kmv_jaccard(sf_dir: str):
                              "h": pl.Series(hs)})
                .group_by("event_type")
                .agg(pl.col("h").sort().head(KMV_K))
-               .explode("h"))
+               .explode("h", empty_as_null=True))
         return out.to_arrow().cast(_P)
 
     sk = (topk_per_group(
@@ -317,7 +317,7 @@ def q47_heavy_tokens(sf_dir: str):
         return (pl.DataFrame({
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok").to_arrow())
+        }).explode("tok", empty_as_null=True).drop_nulls("tok").to_arrow())
 
     return mg_heavy_hitters(docs.map_batches(toks, batch_format="pyarrow"),
                             k=HH_K)
@@ -1048,7 +1048,7 @@ def q171_vocab_richness(sf_dir: str):
             return _PART.empty_table()
         toks = (pl.from_arrow(t["text"].combine_chunks())
                 .str.to_lowercase().str.extract_all("[a-z0-9]+")
-                .explode().drop_nulls())
+                .explode(empty_as_null=True).drop_nulls())
         if len(toks) == 0:
             return _PART.empty_table()
         vc = pl.DataFrame({"token": toks}).group_by("token") \

@@ -417,7 +417,7 @@ def _rep_stats_batch(t: pa.Table, tok_frame=None) -> pa.Table:
         pl.col("tok").list.unique().list.len().cast(pl.Int64)
           .alias("n_distinct"),
     )
-    bg = (df.explode("tok").drop_nulls("tok")
+    bg = (df.explode("tok", empty_as_null=True).drop_nulls("tok")
             .with_columns(pl.concat_str(
                 [pl.col("tok"), pl.col("tok").shift(-1).over("rid")],
                 separator=" ").alias("bg"))
@@ -643,7 +643,8 @@ def q56_curate_and_pack(sf_dir: str):
         ids = np.asarray(train["doc_id"], dtype=np.int64)
         chars = np.asarray(train["n_chars"], dtype=np.int64)
         tok_frame = _tok_list_frame(train)
-        exploded = tok_frame.explode("tok").drop_nulls("tok")
+        exploded = (tok_frame.explode("tok", empty_as_null=True)
+                    .drop_nulls("tok"))
         n_sh, n_ov = _overlap_counts(train, bench, exploded=exploded)
         contam_e4 = np.where(n_sh > 0, 10000 * n_ov // np.maximum(n_sh, 1),
                              0)
@@ -932,7 +933,7 @@ def _unigram_counts(sf_dir: str):
 
         toks = (pl.from_arrow(t["text"].combine_chunks())
                 .str.to_lowercase().str.extract_all("[a-z0-9]+")
-                .explode().drop_nulls())
+                .explode(empty_as_null=True).drop_nulls())
         if len(toks) == 0:
             return pa.table({"tok": pa.array([], type=pa.string()),
                              "n_partial": pa.array([], type=pa.int64())})
@@ -982,7 +983,7 @@ def q66_lm_perplexity(sf_dir: str):
                   "doc_id": pl.from_arrow(t["doc_id"].combine_chunks()),
                   "tok": pl.from_arrow(t["text"].combine_chunks())
                            .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-              }).explode("tok").drop_nulls("tok")
+              }).explode("tok", empty_as_null=True).drop_nulls("tok")
               .join(vocab, on="tok", how="inner")
               .group_by("doc_id")
               .agg(n_tokens=pl.len().cast(pl.Int64),
@@ -1525,7 +1526,7 @@ def q190_dup_spans(sf_dir: str):
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
         }).with_row_index("__r")
-        ex = df.explode("tok").drop_nulls("tok")
+        ex = df.explode("tok", empty_as_null=True).drop_nulls("tok")
         ex = ex.with_columns(
             (pl.int_range(pl.len()).over("__r") + 1).alias("pos"))
         # W-token shingle at pos p: shift-concat (the q12 builder idiom)

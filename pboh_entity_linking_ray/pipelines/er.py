@@ -487,7 +487,7 @@ def q128_soundex_blocking(sf_dir: str):
         ex = (pl.DataFrame({"toks": pl.from_arrow(
                   t["p_name"].combine_chunks())
                   .str.to_lowercase().str.extract_all("[a-z]+")})
-              .explode("toks").drop_nulls("toks"))
+              .explode("toks", empty_as_null=True).drop_nulls("toks"))
         words = ex["toks"].to_numpy()
         uniq, inv = np.unique(words, return_inverse=True)
         codes = np.array([_soundex(u) for u in uniq])
@@ -611,7 +611,7 @@ def q188_nysiis_blocking(sf_dir: str):
         ex = (pl.DataFrame({"toks": pl.from_arrow(
                   t["p_name"].combine_chunks())
                   .str.to_lowercase().str.extract_all("[a-z]+")})
-              .explode("toks").drop_nulls("toks"))
+              .explode("toks", empty_as_null=True).drop_nulls("toks"))
         words = ex["toks"].to_numpy()
         uniq, inv = np.unique(words, return_inverse=True)
         codes = np.array([_nysiis(u) for u in uniq])

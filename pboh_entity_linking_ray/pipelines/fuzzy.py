@@ -45,7 +45,7 @@ def _vocab(sf_dir: str) -> np.ndarray:
 
         toks = (pl.from_arrow(t["text"].combine_chunks())
                 .str.to_lowercase().str.extract_all("[a-z0-9]+")
-                .explode().drop_nulls().unique())
+                .explode(empty_as_null=True).drop_nulls().unique())
         return pa.table({"tok": toks.to_arrow()})
 
     def uniq(bucket: pa.Table) -> pa.Table:
@@ -268,7 +268,7 @@ def q21_candidate_augment(sf_dir: str):
                         .cast(pl.Int64),
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok").unique()
+        }).explode("tok", empty_as_null=True).drop_nulls("tok").unique()
         return df.to_arrow()
 
     rows = ds.map_batches(explode, batch_format="pyarrow", batch_size=512)

@@ -75,7 +75,7 @@ def link_token_df(sf_dir: str):
                       .str.to_lowercase().str.extract_all("[a-z0-9]+"),
         })
         out = (
-            df.explode("toks").drop_nulls()
+            df.explode("toks", empty_as_null=True).drop_nulls()
             .unique(subset=["conv_id", "toks"])
             .rename({"toks": "token"})
         )
@@ -697,7 +697,7 @@ def link_cluster_labels(sf_dir: str):
             "conv_id": pl.from_arrow(t["conv_id"].combine_chunks()),
             "tok": pl.from_arrow(t["text"].combine_chunks())
             .str.to_lowercase().str.extract_all("[a-z0-9]+")}) \
-            .explode("tok").drop_nulls()
+            .explode("tok", empty_as_null=True).drop_nulls()
         if df.height == 0:
             return _P.empty_table()
         return (df.group_by(["conv_id", "tok"])

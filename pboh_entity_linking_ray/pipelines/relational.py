@@ -236,7 +236,7 @@ def q05_word_count(sf_dir: str):
         toks = (
             pl.from_arrow(t["text"].combine_chunks())
             .str.to_lowercase().str.extract_all("[a-z0-9]+")
-            .explode().drop_nulls()
+            .explode(empty_as_null=True).drop_nulls()
         )
         if len(toks) == 0:
             return pa.table({"token": pa.array([], type=pa.string()),

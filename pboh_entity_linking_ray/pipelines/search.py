@@ -52,7 +52,7 @@ def _doc_term_tf(t: pa.Table):
         "doc_id": pl.from_arrow(t["doc_id"].combine_chunks()).cast(pl.Int64),
         "tok": pl.from_arrow(t["text"].combine_chunks())
                  .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-    }).explode("tok").drop_nulls("tok")
+    }).explode("tok", empty_as_null=True).drop_nulls("tok")
     return (df.with_columns(
                 pl.concat_str([pl.col("tok"),
                                pl.col("tok").shift(-1).over("doc_id")],
@@ -327,7 +327,7 @@ def q123_gazetteer_tag(sf_dir: str):
                         .cast(pl.Int64),
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok")
+        }).explode("tok", empty_as_null=True).drop_nulls("tok")
         uni = toks.select("doc_id", pl.col("tok").alias("term"))
         bg = toks.select(
             "doc_id",

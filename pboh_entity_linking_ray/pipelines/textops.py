@@ -33,15 +33,6 @@ def _docs(sf_dir: str):
                                  columns=["doc_id", "text"])
 
 
-def _token_lists(t: pa.Table) -> list[list[str]]:
-    import polars as pl
-    return (
-        pl.from_arrow(t["text"].combine_chunks())
-        .str.to_lowercase().str.extract_all("[a-z0-9]+")
-        .to_list()
-    )
-
-
 # --- SimHash ----------------------------------------------------------------
 
 def _md5_cached(cache: dict, values: list[str]) -> np.ndarray:
@@ -66,7 +57,8 @@ def _distinct_doc_tokens(t: pa.Table):
         "rid": pl.int_range(0, n, eager=True),
         "tok": pl.from_arrow(t["text"].combine_chunks())
                  .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-    }).explode("tok").drop_nulls("tok").unique(subset=["rid", "tok"])
+    }).explode("tok", empty_as_null=True).drop_nulls("tok") \
+        .unique(subset=["rid", "tok"])
     return df
 
 
@@ -321,7 +313,7 @@ def _doc_shingles(t: pa.Table, w: int):
         "rid": pl.int_range(0, n, eager=True),
         "tok": pl.from_arrow(t["text"].combine_chunks())
                  .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-    }).explode("tok").drop_nulls("tok")
+    }).explode("tok", empty_as_null=True).drop_nulls("tok")
     return _shingles_from_exploded(df, w)
 
 
@@ -424,7 +416,7 @@ def q12_ngram_jaccard_pairs(sf_dir: str):
             "doc_id": pl.from_arrow(t["doc_id"].combine_chunks()).cast(pl.Int64),
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok")
+        }).explode("tok", empty_as_null=True).drop_nulls("tok")
         sh = df.with_columns(
             pl.concat_str([pl.col("tok").shift(-i).over("doc_id")
                            for i in range(k)], separator=" ").alias("sh")
@@ -538,7 +530,7 @@ def _explode_distinct_toks(t: pa.Table) -> pa.Table:
         "doc_id": pl.from_arrow(t["doc_id"].combine_chunks()).cast(pl.Int64),
         "tok": pl.from_arrow(t["text"].combine_chunks())
                  .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-    }).explode("tok").drop_nulls("tok").unique()
+    }).explode("tok", empty_as_null=True).drop_nulls("tok").unique()
     return df.to_arrow()
 
 
@@ -892,7 +884,7 @@ def q107_feature_hashing(sf_dir: str):
             .cast(pl.Int64),
             "tok": pl.from_arrow(t["text"].combine_chunks())
             .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok")
+        }).explode("tok", empty_as_null=True).drop_nulls("tok")
             .group_by(["doc_id", "tok"]).len(name="tf"))
         hs = _md5_cached({}, df["tok"].to_list())
         dim = (hs % np.uint64(FH_DIM)).astype(np.int64)
@@ -962,7 +954,7 @@ def q98_source_shift(sf_dir: str):
             "source": pl.from_arrow(t["source"].combine_chunks()),
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok")
+        }).explode("tok", empty_as_null=True).drop_nulls("tok")
           .group_by(["tok", "source"]).len(name="cnt")
           .with_columns(pl.col("cnt").cast(pl.Int64)))
         return df.select(["tok", "source", "cnt"]).to_arrow().cast(_CNT)
@@ -1155,7 +1147,7 @@ def q44_tfidf_pairs(sf_dir: str):
             "doc_id": pl.from_arrow(t["doc_id"].combine_chunks()).cast(pl.Int64),
             "tok": pl.from_arrow(t["text"].combine_chunks())
                      .str.to_lowercase().str.extract_all("[a-z0-9]+"),
-        }).explode("tok").drop_nulls("tok")
+        }).explode("tok", empty_as_null=True).drop_nulls("tok")
         sh = df.with_columns(
             pl.concat_str([pl.col("tok").shift(-i).over("doc_id")
                            for i in range(k)], separator=" ").alias("tok")
@@ -1280,7 +1272,7 @@ def q46_chunk_documents(sf_dir: str):
         out = (df.filter(pl.col("n") > 0)
                .with_columns(start=pl.int_ranges(0, pl.col("n"),
                                                  CHUNK_STRIDE))
-               .explode("start")
+               .explode("start", empty_as_null=True)
                .with_columns(
                    chunk_id=(pl.col("start") // CHUNK_STRIDE).cast(pl.Int64),
                    n_toks=pl.min_horizontal(
@@ -2000,7 +1992,7 @@ def q125_cluster_metrics(sf_dir: str):
                             .cast(pl.Int64),
                 "tok": pl.from_arrow(t["text"].combine_chunks())
                          .str.to_lowercase().str.extract_all("[a-z0-9]+")})
-              .explode("tok")
+              .explode("tok", empty_as_null=True)
               .group_by("doc_id")
               .agg(pl.col("tok").drop_nulls().unique().sort()
                      .str.join(" ").alias("s"))
@@ -2116,7 +2108,7 @@ def q72_bpe_pair_counts(sf_dir: str):
             return empty
         toks = (pl.from_arrow(t["text"].combine_chunks())
                 .str.to_lowercase().str.extract_all("[a-z0-9]+")
-                .explode().drop_nulls())
+                .explode(empty_as_null=True).drop_nulls())
         if len(toks) == 0:
             return empty
         buf = np.frombuffer(("\x00".join(toks.to_list())).encode("ascii"),
@@ -2220,7 +2212,7 @@ def bpe_train(sf_dir: str):
     def partial(t: pa.Table) -> pa.Table:
         toks = (pl.from_arrow(t["text"].combine_chunks())
                 .str.to_lowercase().str.extract_all("[a-z0-9]+")
-                .explode().drop_nulls())
+                .explode(empty_as_null=True).drop_nulls())
         if len(toks) == 0:
             return pa.table({"w": pa.array([], type=pa.string()),
                              "n_partial": pa.array([], type=pa.int64())})
@@ -2304,7 +2296,8 @@ def bpe_encode(sf_dir: str):
         words = (pl.from_arrow(t.select(["doc_id", "text"]))
                  .with_columns(pl.col("text").str.to_lowercase()
                                .str.extract_all("[a-z0-9]+").alias("w"))
-                 .drop("text").explode("w").drop_nulls("w"))
+                 .drop("text").explode("w", empty_as_null=True)
+                 .drop_nulls("w"))
         if len(words) == 0:
             return pa.table({"doc_id": pa.array([], type=pa.int64()),
                              "n_words": pa.array([], type=pa.int64()),
@@ -2703,7 +2696,8 @@ def q124_ppjoin(sf_dir: str, bitset_vocab_max: int = PP_BITSET_VOCAB_MAX):
     def df_part(t: pa.Table) -> pa.Table:
         g = (pl.DataFrame({"tok": pl.from_arrow(t["text"].combine_chunks())
                            .str.to_lowercase().str.extract_all("[a-z0-9]+")})
-             .with_row_index("d").explode("tok").drop_nulls("tok")
+             .with_row_index("d").explode("tok", empty_as_null=True)
+             .drop_nulls("tok")
              .unique(subset=["d", "tok"])
              .group_by("tok").agg(pl.len().cast(pl.Int64).alias("df")))
         return pa.table({"tok": g["tok"].to_arrow().cast(pa.string()),
@@ -2731,7 +2725,7 @@ def q124_ppjoin(sf_dir: str, bitset_vocab_max: int = PP_BITSET_VOCAB_MAX):
                             .cast(pl.Int64),
                 "tok": pl.from_arrow(t["text"].combine_chunks())
                          .str.to_lowercase().str.extract_all("[a-z0-9]+")})
-              .explode("tok").drop_nulls("tok")
+              .explode("tok", empty_as_null=True).drop_nulls("tok")
               .unique(subset=["doc_id", "tok"]))
         if ex.height == 0:
             return pa.table({c: pa.array([], type=ty)
@@ -3032,7 +3026,7 @@ def q135_bigram_lm(sf_dir: str):
                   t["text"].combine_chunks())
                   .str.to_lowercase().str.extract_all("[a-z0-9]+")})
               .with_columns(w2s=pl.col("toks").list.shift(-1))
-              .explode("toks", "w2s")
+              .explode("toks", "w2s", empty_as_null=True)
               .drop_nulls()
               .rename({"toks": "w1", "w2s": "w2"})
               .group_by("w1", "w2")

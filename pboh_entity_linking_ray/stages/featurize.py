@@ -52,19 +52,6 @@ def _mh_for(cfg: PipelineConfig) -> MinHasher:
     return mh
 
 
-def _stem_batch(tokens: list[str]) -> list[str]:
-    """Stem DISTINCT tokens with a process-level cache."""
-    out = []
-    cache = _STEM_CACHE
-    for t in tokens:
-        s = cache.get(t)
-        if s is None:
-            s = porter_stem(t)
-            cache[t] = s
-        out.append(s)
-    return out
-
-
 def _stem_series(uniq) -> list[str]:
     """Vectorized fast path: digit-bearing tokens (ids/hex blobs) are
     returned unchanged without entering Python at all; only the alpha
@@ -158,7 +145,7 @@ class Featurizer:
         df = (
             pl.DataFrame({"rid": pl.int_range(0, n, eager=True),
                           "tok": token_lists})
-            .explode("tok")
+            .explode("tok", empty_as_null=True)
             .drop_nulls()
             .filter(~pl.col("tok").is_in(_STOP_LIST))
         )
@@ -268,7 +255,7 @@ def build_stem_map(conv_docs, cfg: PipelineConfig | None = None, *,
 
         toks = (pl.from_arrow(t["mention_doc"].combine_chunks())
                 .str.to_lowercase().str.extract_all("[a-z0-9]+")
-                .explode().drop_nulls().unique())
+                .explode(empty_as_null=True).drop_nulls().unique())
         return pa.table({"tok": toks.to_arrow()})
 
     def uniq_and_stem(bucket: pa.Table) -> pa.Table:

@@ -321,7 +321,7 @@ def _mention_prior_partial(batch: pa.Table, sample_mod: int = 1) -> pa.Table:
     df = (
         pl.DataFrame({"mention": docs.str.to_lowercase()
                       .str.extract_all("[a-z0-9]+")})
-        .explode("mention").drop_nulls("mention")
+        .explode("mention", empty_as_null=True).drop_nulls("mention")
         .filter(~pl.col("mention").is_in(sorted(STOPWORDS)))
         .group_by("mention").len(name="freq_partial")
     )

@@ -86,3 +86,30 @@ def test_wiki_url_to_title_m3():
     ])
     out = wiki_url_to_title(urls).to_list()
     assert out == ["Apple's Law", "Plain Title", "A&B,C", "Unicodeé x"]
+
+
+def test_kernels_raise_no_warning():
+    """Every text kernel runs clean under warnings-as-errors: the
+    ``explode`` calls pin ``empty_as_null`` (today's behaviour), so the
+    Polars default flip neither warns nor changes rows that have no
+    match (no escape, no token)."""
+    import warnings
+
+    from pboh_entity_linking_ray.functions.text import (
+        normalize_title_series,
+        wiki_url_to_title,
+    )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tokenize_series(pl.Series(SAMPLES)).to_list()[2] == []
+        assert normalize_series(pl.Series([" A b "])).to_list() == ["a b"]
+        assert normalize_title_series(
+            pl.Series(["a%20b_c", "plain", "&amp;amp;x", ""])).to_list() \
+            == ["A b c", "Plain", "&x", ""]
+        assert wiki_url_to_title(pl.Series([
+            'http://rdf.freebase.com/ns/wikipedia/en/A$0026B">',
+            'http://rdf.freebase.com/ns/wikipedia/en/Plain">',
+        ])).to_list() == ["A&B", "Plain"]
+        assert content_tokens(["the", "running"]) == ["run"]
+        assert shingles(["a", "b"], 1) == ["a", "b"]
