@@ -2,10 +2,10 @@
 
 ``entry()`` runs the flagship record-linkage pipeline on the deterministic
 synthetic transcript corpus sized for sf0.001 and returns the clusters
-table.  ``queries()`` exposes every implemented operator/pipeline from
-SURVEY.md §2 (relational, text analysis, dedup family, ANN, multimodal
-plumbing, and each flagship linkage stage); ``oracle_sql()`` carries the
-DuckDB twin for each SQL-expressible entry.
+table.  ``queries()`` exposes every query in ``registry.all_queries()``
+(the flagship linkage stages and the registered query families listed
+there); ``oracle_sql()`` carries the DuckDB twin for each SQL-expressible
+entry.
 
 Ray is initialised by the driver BEFORE this module is imported — nothing
 here (or in the library) calls ``ray.init`` / ``ray.shutdown``.

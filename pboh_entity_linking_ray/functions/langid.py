@@ -19,20 +19,11 @@ LANG_MARKERS: dict[str, tuple[str, ...]] = {
 LANG_ORDER = ("en", "de", "fr", "es")  # deterministic tie-break order
 
 
-def predict_lang(tokens: set[str]) -> str:
-    best_lang, best_n = "und", 0
-    for lang in LANG_ORDER:
-        n = sum(1 for m in LANG_MARKERS[lang] if m in tokens)
-        if n > best_n:
-            best_lang, best_n = lang, n
-    return best_lang
-
-
 def predict_lang_expr(tokens_col: str):
     """Vectorized polars expression over a list<str> token column → the
-    same prediction as ``predict_lang`` (marker-set intersection counts,
-    strict argmax in LANG_ORDER, all-zero → 'und') — one kernel pass per
-    batch, never a Python call per document."""
+    predicted language (marker-set intersection counts, strict argmax in
+    LANG_ORDER, all-zero → 'und') — one kernel pass per batch, never a
+    Python call per document."""
     import polars as pl
 
     c = {lang: pl.col(tokens_col)
