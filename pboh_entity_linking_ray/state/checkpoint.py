@@ -50,6 +50,12 @@ class StageRunner:
         with open(self.manifest_path(name)) as f:
             return json.load(f)
 
+    @staticmethod
+    def _read(out_dir: str) -> ray.data.Dataset:
+        # no hive partitioning: the ``stage=<name>`` directory name is a
+        # layout detail, not a column of the stage's output
+        return read_parquet_clean(out_dir, partitioning=None)
+
     def run(
         self,
         name: str,
@@ -63,7 +69,7 @@ class StageRunner:
             return fn()
         out_dir = self.stage_dir(name)
         if self.is_complete(name):
-            return read_parquet_clean(out_dir)
+            return self._read(out_dir)
 
         # a private temp dir: two runners on one root never delete each
         # other's in-flight write
@@ -95,7 +101,7 @@ class StageRunner:
         with open(mp + ".tmp", "w") as f:
             json.dump(manifest, f, indent=1)
         os.replace(mp + ".tmp", mp)
-        return read_parquet_clean(out_dir)
+        return self._read(out_dir)
 
     def add_metrics(self, name: str, extra: dict[str, Any]) -> None:
         if not self.root or not self.is_complete(name):

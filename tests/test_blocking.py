@@ -10,7 +10,6 @@ from pboh_entity_linking_ray.stages.blocking import (
     add_block_keys,
     dedup_pairs,
     make_pairs,
-    tag_new,
 )
 from pboh_entity_linking_ray.stages.canonicalize import canonicalize
 from pboh_entity_linking_ray.stages.featurize import featurize
@@ -36,7 +35,7 @@ def test_true_duplicates_share_a_block(ray_session):
 def test_pairs_unique_after_dedup(ray_session):
     corpus = generate_corpus(60, 22)
     blocked = add_block_keys(_features(corpus))
-    pairs = dedup_pairs(make_pairs(tag_new(blocked, 1), num_buckets=8), 8).to_pandas()
+    pairs = dedup_pairs(make_pairs(blocked, num_buckets=8), 8).to_pandas()
     assert pairs["pair_key"].is_unique
     assert (pairs["conv_a"] < pairs["conv_b"]).all()
 
@@ -49,7 +48,7 @@ def test_salting_accounts_for_capped_pairs(ray_session):
     cfg = PipelineConfig(block_cap=8)
     corpus = generate_corpus(60, 23)
     blocked = add_block_keys(_features(corpus), cfg)
-    pairs = dedup_pairs(make_pairs(tag_new(blocked, 1), cfg, num_buckets=8), 8).to_pandas()
+    pairs = dedup_pairs(make_pairs(blocked, cfg, num_buckets=8), 8).to_pandas()
     sizes = blocked.to_pandas().groupby("block_key").size()
     for bk, grp in pairs.groupby("block_key"):
         m = int(sizes[bk])
@@ -65,7 +64,7 @@ def test_oversized_block_pair_budget(ray_session):
     cfg = PipelineConfig(block_cap=8, max_pairs_per_block=40, salt_boundary=2)
     corpus = generate_corpus(120, 24)
     blocked = add_block_keys(_features(corpus), cfg)
-    pairs = make_pairs(tag_new(blocked, 1), cfg, num_buckets=8).to_pandas()
+    pairs = make_pairs(blocked, cfg, num_buckets=8).to_pandas()
     sizes = blocked.to_pandas().groupby("block_key").size()
     hot = sizes[sizes > 2 * cfg.block_cap]
     assert len(hot) > 0, "fixture should produce at least one hot block"
