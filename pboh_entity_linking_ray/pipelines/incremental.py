@@ -47,13 +47,12 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.grouping import buckets_for
-from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs, \
-    tag_new
+from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs
 from ..stages.canonicalize import canonicalize
 from ..stages.clustering import _collect, recluster, rows_in
-from ..stages.featurize import build_stem_map, featurize
+from ..stages.featurize import STEM_SCHEMA, build_stem_map, featurize
 from ..stages.scoring import attach_and_score
-from .linkage import LinkageResult, _cluster_cpus, _concat_ds
+from .linkage import LinkageResult, _cluster_cpus
 
 
 class IncrementalResult:
@@ -97,8 +96,8 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
     # the stem map is a deterministic per-token function — rebuilding it
     # over the new vocabulary yields identical stems for shared tokens,
     # so frozen-stats scoring stays consistent with the base run
-    stem_ref = ray.put(_concat_ds(build_stem_map(new_docs, cfg,
-                                                 num_buckets=nb)))
+    stem_ref = ray.put(_collect(build_stem_map(new_docs, cfg,
+                                               num_buckets=nb), STEM_SCHEMA))
     new_features = runner.run("inc_features",
                               lambda: featurize(new_docs, cfg, stem_ref))
     if not runner.root:
@@ -134,10 +133,10 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
     old_blocked = add_block_keys(old_features, cfg) \
         .map_batches(probe, batch_format="pyarrow")
 
-    blocked = tag_new(old_blocked, 0).union(tag_new(new_blocked, 1))
     pairs = runner.run(
         "inc_pairs",
-        lambda: dedup_pairs(make_pairs(blocked, cfg, num_buckets=nb), nb))
+        lambda: dedup_pairs(make_pairs(new_blocked, cfg, num_buckets=nb,
+                                       old_blocked=old_blocked), nb))
     if not runner.root:
         # resolve once: the attach consumes pairs twice (skew-defense
         # detection pass + the join itself) and would re-run the whole

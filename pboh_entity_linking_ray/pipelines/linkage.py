@@ -22,11 +22,10 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.grouping import buckets_for
-from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs, \
-    tag_new
+from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs
 from ..stages.canonicalize import canonicalize
-from ..stages.clustering import cluster_matches
-from ..stages.featurize import build_stem_map, featurize
+from ..stages.clustering import _collect, cluster_matches
+from ..stages.featurize import STEM_SCHEMA, build_stem_map, featurize
 from ..stages.scoring import BroadcastStats, attach_and_score
 from ..stages.stats import (
     build_entity_prior_from_docs,
@@ -46,15 +45,9 @@ def _concat_ds(ds: ray.data.Dataset) -> pa.Table:
     """Driver-side collect of a small Dataset as ONE Arrow table —
     straight block concat (combine_chunks for dense numpy views), no
     pandas round-trip (`to_pandas` on a 2M-row table measured 3-4x the
-    cost of the concat it wraps).  A Dataset with no blocks at all (a
-    checkpointed stage read back from an empty batch) gives the empty
-    table of its schema, or no columns when it has none."""
+    cost of the concat it wraps)."""
     all_blocks = ray.get(ds.to_arrow_refs())
     blocks = [b for b in all_blocks if b.num_rows] or all_blocks[:1]
-    if not blocks:
-        schema = ds.schema()
-        return (pa.table({}) if schema is None
-                else schema.base_schema.empty_table())
     return pa.concat_tables(blocks, promote_options="default").combine_chunks()
 
 
@@ -114,7 +107,7 @@ def run_linkage(
     # count (featurize measured 2.3× instead of 4× from 4→16 CPUs)
     stem_map = runner.run("stem_map", lambda: build_stem_map(
         conv_docs, cfg, num_buckets=nb))
-    stem_ref = ray.put(_concat_ds(stem_map))
+    stem_ref = ray.put(_collect(stem_map, STEM_SCHEMA))
     features = runner.run("features",
                           lambda: featurize(conv_docs, cfg, stem_ref))
     if not runner.root:
@@ -163,7 +156,7 @@ def run_linkage(
                        .select_columns(["pair", val]))
         return pa.table({"pair": t["pair"], "count": t[val]})
 
-    blocked = tag_new(add_block_keys(features, cfg), 1)
+    blocked = add_block_keys(features, cfg)
     pairs_raw = make_pairs(blocked, cfg, num_buckets=nb)
     pairs_lazy = dedup_pairs(pairs_raw, num_buckets=nb)
 

@@ -8,9 +8,8 @@ Sub-steps, each a named shuffle (SURVEY.md §7.3):
    ~40 B/row; features are re-attached at scoring time from the broadcast
    FeatureStore (stages/scoring.py), so the blocking exchange never moves
    token sketches or text.
-2. ``make_pairs``      — ONE hash-partition by key hash over rows
-   flagged ``is_new`` (``tag_new``; a batch run flags every row); singleton
-   pruning, size-batched vectorized pair emission, salting and capped
+2. ``make_pairs``      — ONE hash-partition by key hash (an incremental
+   run adds the probed base rows, flagged old); singleton pruning, size-batched vectorized pair emission, salting and capped
    accounting all run inside the receiving bucket (sizes are locally
    known — no pre-count, no broadcast, no driver collect).  **Explicit
    salting of hot blocks**: an oversized block's pair budget is
@@ -333,9 +332,7 @@ def _emit_pairs_bucket(bucket: pa.Table, cfg: PipelineConfig) -> pa.Table:
                                np.concatenate(cap_parts))
 
 
-def tag_new(ds: ray.data.Dataset, is_new: int) -> ray.data.Dataset:
-    """Append the int8 ``is_new`` flag ``make_pairs`` reads: 1 for the
-    rows being linked, 0 for base rows they are probed against."""
+def _tag_new(ds: ray.data.Dataset, is_new: int) -> ray.data.Dataset:
     def f(t: pa.Table) -> pa.Table:
         return t.append_column(
             "is_new", pa.array(np.full(t.num_rows, is_new, dtype=np.int8)))
@@ -344,14 +341,16 @@ def tag_new(ds: ray.data.Dataset, is_new: int) -> ray.data.Dataset:
 
 
 def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
-               *, num_buckets: int):
-    """ONE hash-partition of ``tag_new``-flagged blocked rows by block-key
-    hash; singleton pruning, salting and capped accounting all happen
-    INSIDE the receiving bucket — every row of a key co-locates, so sizes
-    are locally known, nothing is counted up front, broadcast, or
-    collected to the driver.  Only pairs touching a new row are emitted
-    (``_emit_pairs_bucket``): a batch run tags every row new, an
-    incremental run tags the probed base rows old.
+               *, num_buckets: int,
+               old_blocked: ray.data.Dataset | None = None):
+    """ONE hash-partition of blocked rows by block-key hash; singleton
+    pruning, salting and capped accounting all happen INSIDE the
+    receiving bucket — every row of a key co-locates, so sizes are
+    locally known, nothing is counted up front, broadcast, or collected
+    to the driver.  Only pairs touching a row of ``blocked`` are emitted
+    (``_emit_pairs_bucket``): ``old_blocked`` (an incremental run's
+    probed base rows) joins the exchange flagged old, and old×old pairs
+    never leave the bucket.
 
     Skew safety without pre-splitting: a hot block's emitted pairs are
     bounded by ``max_pairs_per_block`` (chunk size shrinks as the block
@@ -364,11 +363,17 @@ def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
 
     from ..functions.grouping import bucketed_groups
 
+    if old_blocked is not None:
+        blocked = _tag_new(old_blocked, 0).union(_tag_new(blocked, 1))
+
     def per_bucket(bucket: pa.Table) -> pa.Table:
         if bucket.num_rows == 0:
             return _PAIR_SCHEMA.empty_table()
         import polars as pl
 
+        if "is_new" not in bucket.column_names:    # no base rows: all new
+            bucket = bucket.append_column(
+                "is_new", pa.array(np.ones(bucket.num_rows, dtype=np.int8)))
         ordered = (pl.from_arrow(bucket)
                    .sort(["own_key", "is_new", "mh0", "conv_id"],
                          descending=[False, True, False, False])

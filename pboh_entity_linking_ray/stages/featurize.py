@@ -242,6 +242,9 @@ class Featurizer:
         )
 
 
+STEM_SCHEMA = pa.schema([("tok", pa.string()), ("stem", pa.string())])
+
+
 def build_stem_map(conv_docs, cfg: PipelineConfig | None = None, *,
                    num_buckets: int):
     """Distinct corpus tokens → Porter stems, each stemmed exactly once
@@ -264,7 +267,8 @@ def build_stem_map(conv_docs, cfg: PipelineConfig | None = None, *,
         toks = pl.from_arrow(bucket)["tok"].unique(maintain_order=False)
         return pa.table({"tok": toks.to_arrow().cast(pa.string()),
                          "stem": pa.array(_stem_series(toks),
-                                          type=pa.string())})
+                                          type=pa.string())},
+                        schema=STEM_SCHEMA)
 
     ds = conv_docs.map_batches(partial, batch_format="pyarrow",
                                batch_size=1024)
