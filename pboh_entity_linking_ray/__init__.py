@@ -8,9 +8,10 @@ over Parquet tables of multi-turn conversation transcripts
 Structural ancestor (capabilities only, no code): dalab/pboh-entity-linking
 (/root/reference) — per-document loopy-BP entity linking over in-JVM
 hash-map indexes. Here the per-doc LBP is replaced by a loopy-BP-free
-max-product pairwise log-odds scored inside ``map_batches`` actor pools
-holding broadcast Arrow statistics tables (see SURVEY.md §2.3 M11-M13),
-and clusters come from iterative hash-partitioned connected components.
+max-product pairwise log-odds scored inside the second feature-attach
+join's bucket tasks (a task pool, no actors), each worker process caching
+the broadcast Arrow statistics tables (see SURVEY.md §2.3 M11-M13), and
+clusters come from iterative hash-partitioned connected components.
 """
 
 import os as _os

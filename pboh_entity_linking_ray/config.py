@@ -61,10 +61,10 @@ class PipelineConfig:
                                 # minhash-sorted order)
     # --- per-conv feature caps (bound pair-row width; analog of the
     # reference's top-10 candidate pruning, MentEntsFreqIndexWrapper.scala:53-55)
-    max_tokens_per_conv: int = 64    # bottom-k token sketch carried on pair
-                                     # rows (uint32 hashes — 256 B/conv keeps
-                                     # the blocking shuffle slim at 25 key
-                                     # emits per conversation)
+    max_tokens_per_conv: int = 64    # bottom-k token sketch attached to
+                                     # pair rows for scoring (uint32 hashes
+                                     # — 256 B/conv bounds the payload of
+                                     # the two feature-attach joins)
     jw_text_cap: int = 48            # chars of canonical text used for
                                      # Jaro-Winkler; JW is O(L·window) pure
                                      # Python per pair — 48 chars keeps the
@@ -95,16 +95,6 @@ class PipelineConfig:
                                 # the same way, Learning.scala:128)
     # --- execution ---
     scorer_batch_size: int = 4096
-    attach_skew_defense: bool = True  # sample the pair stream's conv-id
-                                # histogram before each feature-attach
-                                # join and salt exactly the detected hot
-                                # ids (functions/grouping.py:skew_join);
-                                # one templated conversation in 30% of
-                                # pairs would otherwise pin its pair set
-                                # on a single bucket task.  Output is
-                                # identical either way.
-    attach_hot_frac: float = 0.01   # sampled share above which a conv id
-                                # counts as hot in that detection
     rows_per_bucket: int = 25_000   # exchange sizing (functions/grouping.py:
                                 # buckets_for): ~keyed rows per hash
                                 # bucket above the CPU floor; past 256

@@ -1,14 +1,15 @@
-"""Bucketed group processing — the scalable alternative to per-key
-``map_groups``.
+"""Bucketed group processing on one shuffle engine: the direct hash
+exchange (``hash_exchange``).
 
-Ray's ``groupby(key).map_groups(fn)`` invokes Python once per key; at
+Ray's per-group ``groupby(key)`` UDF invokes Python once per key; at
 millions of tiny groups the interpreter overhead dwarfs the work (observed
 ~1 ms/group → 200 s for 200k pair keys).  The idiom here: hash the key
-into ``num_buckets`` coarse partitions, ``groupby(bucket)`` (cheap — few
-groups), and run a **vectorized** per-key computation (polars/numpy) over
-each bucket.  Correctness relies only on all rows of one key landing in
-one bucket — exactly the hash-partitioning contract a multi-node shuffle
-gives.
+into ``num_buckets`` coarse partitions with a two-stage MapReduce exchange
+over raw Ray tasks, and run a **vectorized** per-key computation
+(polars/numpy) over each bucket.  Correctness relies only on all rows of
+one key landing in one bucket — exactly the hash-partitioning contract a
+multi-node shuffle gives.  Every primitive below (sums, dedup, top-k and
+the joins) is one ``fn`` over that exchange.
 """
 
 from __future__ import annotations
@@ -16,55 +17,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import ray.data
-
-BUCKET_COL = "__bucket"
-
-
-def with_bucket(ds: ray.data.Dataset, key_col: str,
-                num_buckets: int = 64) -> ray.data.Dataset:
-    def add(t: pa.Table) -> pa.Table:
-        import polars as pl
-
-        if t.num_rows == 0:
-            return t.append_column(BUCKET_COL, pa.array([], type=pa.int64()))
-        h = pl.from_arrow(t[key_col].combine_chunks()).hash(seed=17).to_numpy()
-        b = (h % np.uint64(num_buckets)).astype(np.int64)
-        return t.append_column(BUCKET_COL, pa.array(b))
-
-    return ds.map_batches(add, batch_format="pyarrow")
-
-
-def bucketed_groups(ds: ray.data.Dataset, key_col: str, fn,
-                    num_buckets: int = 64,
-                    repartition: bool = True,
-                    engine: str = "sort") -> ray.data.Dataset:
-    """Apply ``fn(bucket_table) -> pa.Table`` once per hash bucket of
-    ``key_col``; ``fn`` sees every row of each key it receives and must do
-    its own per-key vectorized logic.
-
-    ``engine="exchange"`` routes through ``hash_exchange`` (direct
-    two-stage MapReduce shuffle; measured ~10× the sort-based groupby on
-    pure hash-partition workloads) — use it when the input is already
-    materialized (or about to be) and all you need is co-location by key
-    hash.  The default sort engine keeps streaming backpressure and is
-    the safe choice mid-pipeline.
-
-    ``repartition=True`` (sort engine only) splits into many blocks
-    BEFORE the groupby — Ray's sort-based shuffle parallelizes per input
-    block, and upstream operators often emit few blocks (observed:
-    single-block inputs serialize the whole sort).  Pass False when the
-    input is already well-partitioned (e.g. the pinned edge sets between
-    clustering rounds) to save an exchange."""
-    if engine == "exchange":
-        return hash_exchange(ds, key_col, fn, num_buckets)
-
-    def run(bucket: pa.Table) -> pa.Table:
-        return fn(bucket.drop_columns([BUCKET_COL]))
-
-    keyed = with_bucket(ds, key_col, num_buckets)
-    if repartition:
-        keyed = keyed.repartition(num_buckets)
-    return keyed.groupby(BUCKET_COL).map_groups(run, batch_format="pyarrow")
 
 
 def _split_table(tbl: pa.Table, key_col: str, num_buckets: int,
@@ -129,8 +81,7 @@ def _exchange_apply(fn, *parts: pa.Table) -> pa.Table:
     run the vectorized per-bucket ``fn``.
 
     CONTRACT: ``fn`` may receive a fully-EMPTY table (sparse keys leave
-    buckets with no rows — unlike the sort engine's map_groups, which
-    never sees empty groups) and must return the same output schema for
+    buckets with no rows) and must return the same output schema for
     empty and non-empty input."""
     live = [p for p in parts if p.num_rows]
     bucket = (pa.concat_tables(live, promote_options="default") if live
@@ -235,8 +186,10 @@ def buckets_for(n_rows: int, rows_per_bucket: int, cpus: int) -> int:
 def hash_exchange(ds: ray.data.Dataset, key_col: str, fn,
                   num_buckets: int = 64,
                   two_round: bool | None = None) -> ray.data.Dataset:
-    """``bucketed_groups`` semantics on a DIRECT MapReduce hash exchange
-    (raw Ray tasks) instead of Ray Data's sort-based groupby.
+    """Apply ``fn(bucket_table) -> pa.Table`` once per hash bucket of
+    ``key_col`` on a DIRECT MapReduce hash exchange (raw Ray tasks)
+    instead of Ray Data's sort-based groupby; ``fn`` sees every row of
+    each key it receives and does its own per-key vectorized logic.
 
     The sort shuffle is the wrong substrate for a pure hash partition: it
     samples key ranges, sorts every block, and merge-reduces — measured
@@ -273,12 +226,11 @@ def hash_exchange(ds: ray.data.Dataset, key_col: str, fn,
     2.8 s flat — the flat mode's 65k tiny objects cost more than the
     extra consolidation pass long before the metadata ceiling bites.
 
-    CONTRACT (both engines): ``fn`` must tolerate an EMPTY input table
-    (sparse keys ⇒ empty buckets reach ``fn``, unlike the sort engine's
-    map_groups) and must emit a stable schema regardless of input size.
-    All rows of one key land in one fine bucket — the partitioning
-    contract every consumer assumes.  Bucket results return in fine-
-    bucket order in both modes.
+    CONTRACT: ``fn`` must tolerate an EMPTY input table (sparse keys ⇒
+    empty buckets reach ``fn``) and must emit a stable schema regardless
+    of input size.  All rows of one key land in one fine bucket — the
+    partitioning contract every consumer assumes.  Bucket results return
+    in fine-bucket order in both modes.
     """
     def empty_result() -> ray.data.Dataset:
         # zero input blocks: honor the fn contract anyway — apply fn to
@@ -364,20 +316,21 @@ def _stream_block_refs(ds: ray.data.Dataset):
         yield from bundle.block_refs
 
 
+# perfbench/tracing.py wraps the exchange under this name as well
+bucketed_groups = hash_exchange
+
+
 def bucketed_sum(ds: ray.data.Dataset, key_cols: list[str], sum_col: str,
-                 out_name: str, num_buckets: int = 64,
-                 engine: str = "sort") -> ray.data.Dataset:
+                 out_name: str, num_buckets: int = 64) -> ray.data.Dataset:
     """groupby(key).sum(sum_col) with vectorized per-bucket polars hash
     aggregation — Ray's native Aggregate builds result rows in Python per
     group (observed ~15 µs/group → 48 s for 3M co-occurrence keys)."""
-    return bucketed_sum_multi(ds, key_cols, {sum_col: out_name}, num_buckets,
-                              engine=engine)
+    return bucketed_sum_multi(ds, key_cols, {sum_col: out_name}, num_buckets)
 
 
 def bucketed_sum_multi(ds: ray.data.Dataset, key_cols: list[str],
                        sum_cols: dict[str, str],
-                       num_buckets: int = 64,
-                       engine: str = "sort") -> ray.data.Dataset:
+                       num_buckets: int = 64) -> ray.data.Dataset:
     """Several sums over the same keys in ONE shuffle (fused-stats
     pattern: a second stats table over the same key space should never
     pay a second exchange)."""
@@ -392,7 +345,7 @@ def bucketed_sum_multi(ds: ray.data.Dataset, key_cols: list[str],
         )
         return out.to_arrow()
 
-    return bucketed_groups(ds, key_cols[0], fn, num_buckets, engine=engine)
+    return hash_exchange(ds, key_cols[0], fn, num_buckets)
 
 
 SIDE_COL = "__side"
@@ -424,7 +377,7 @@ def _empty_side_fallback(left: ray.data.Dataset, right, how: str):
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
               on: str | list[str],
               num_buckets: int = 64, how: str = "inner",
-              post=None, engine: str = "exchange") -> ray.data.Dataset:
+              post=None) -> ray.data.Dataset:
     """Distributed large×large hash join on same-named key column(s).
 
     ``on`` may be a LIST for a composite equality key: rows are then
@@ -529,12 +482,7 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return post(joined) if post is not None else joined
 
     key_col = SKEY_COL if multi else on_cols[0]
-    if engine == "exchange":
-        # direct hash exchange (see hash_exchange): ~2 s where the sort
-        # shuffle spends ~34 s at the feature-join scale
-        return hash_exchange(both, key_col, join_bucket, num_buckets)
-    return bucketed_groups(both, key_col, join_bucket, num_buckets,
-                           repartition=False)
+    return hash_exchange(both, key_col, join_bucket, num_buckets)
 
 
 def _sided_union(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
@@ -674,8 +622,7 @@ def interval_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
 
 def dedup_keep_first(ds: ray.data.Dataset, key_col: str,
                      order_cols: list[str] | None = None,
-                     num_buckets: int = 64,
-                     engine: str = "sort") -> ray.data.Dataset:
+                     num_buckets: int = 64) -> ray.data.Dataset:
     """Keep exactly one row per key, deterministically (sorted by
     key + order_cols, first wins).  Vectorized per bucket."""
     order = [key_col] + (order_cols or [])
@@ -688,7 +635,7 @@ def dedup_keep_first(ds: ray.data.Dataset, key_col: str,
                                     maintain_order=True)
         return out.to_arrow().cast(t.schema)
 
-    return bucketed_groups(ds, key_col, fn, num_buckets, engine=engine)
+    return hash_exchange(ds, key_col, fn, num_buckets)
 
 
 def topk_per_group(ds: ray.data.Dataset, group_col: str, order_col: str,
@@ -718,8 +665,7 @@ def topk_per_group(ds: ray.data.Dataset, group_col: str, order_col: str,
         return out.select(df.columns).to_arrow().cast(t.schema)
 
     partial = ds.map_batches(cut, batch_format="pyarrow")
-    return bucketed_groups(partial, group_col, cut, num_buckets,
-                           engine="exchange")
+    return hash_exchange(partial, group_col, cut, num_buckets)
 
 
 # per-WORKER-PROCESS cache of broadcast dimension frames, keyed by the
@@ -1125,7 +1071,9 @@ def adaptive_skew_join(left: ray.data.Dataset, right: ray.data.Dataset,
     LEFT side's key histogram (``detect_hot_keys``), then salt exactly
     the detected hot keys (``skew_join``) — or run the plain join when
     the histogram is flat.  The detection pass costs one sampled scan
-    of the left key column; the join result is identical either way.
+    of the left key column, projected first so a left side carrying
+    wide payloads ships none of them; the join result is identical
+    either way.
 
     ``how='full'`` always routes to the plain ``hash_join`` (which
     supports it) — ``skew_join`` rejects full outer, and whether the
@@ -1134,7 +1082,8 @@ def adaptive_skew_join(left: ray.data.Dataset, right: ray.data.Dataset,
     """
     if how == "full" or left.schema() is None or right.schema() is None:
         return hash_join(left, right, on, num_buckets, how, post)
-    hot = detect_hot_keys(left, on, sample_frac=sample_frac,
+    hot = detect_hot_keys(left.select_columns([on]), on,
+                          sample_frac=sample_frac,
                           hot_frac=hot_frac, num_buckets=num_buckets,
                           max_salt=max_salt)
     if not hot:

@@ -534,7 +534,7 @@ def q68_pagerank(sf_dir: str):
     each iteration then moves only the O(nodes) rank rows — split to the
     shards by the same hash, joined against the pinned edges in-actor
     with per-dst partial sums, and re-aggregated by ONE tiny exchange
-    (``bucketed_groups(dst)``) that emits the next rank DATASET.  The
+    (``hash_exchange(dst)``) that emits the next rank DATASET.  The
     rank vector is never driver-collected (at web scale the node table
     outgrows any broadcast); the driver holds only N and O(blocks ×
     shards) refs during intake (at extreme block counts, route the
@@ -548,7 +548,7 @@ def q68_pagerank(sf_dir: str):
     from degree-counting to the stationary-distribution score."""
     import pyarrow.compute as pc
 
-    from ..functions.grouping import bucketed_groups, hash_join
+    from ..functions.grouping import hash_exchange, hash_join
     from .relational import _t
 
     orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
@@ -620,9 +620,9 @@ def q68_pagerank(sf_dir: str):
         })
 
     for _ in range(PR_ITERS):
-        ranks = bucketed_groups(
+        ranks = hash_exchange(
             shards.map(ranks, _graph_contrib),
-            "dst", renorm, engine="exchange").materialize()
+            "dst", renorm).materialize()
 
     return ranks.map_batches(
         lambda t: pa.table({
@@ -769,7 +769,7 @@ def q84_triangles(sf_dir: str):
                             "one": pa.array(np.ones(t.num_rows,
                                                     dtype=np.int64))}),
         batch_format="pyarrow"))
-    deg = bucketed_sum(ends, ["node"], "one", "d", engine="exchange")
+    deg = bucketed_sum(ends, ["node"], "one", "d")
 
     deg_a = deg.map_batches(
         lambda t: pa.table({"a": t["node"], "da": t["d"]}),
@@ -859,8 +859,7 @@ def q84_triangles(sf_dir: str):
             return pa.table({"wk": pa.array(x * TRI_OFF + y),
                              "ctr": pa.array(ctr)})
 
-        wedges = hash_exchange(dir_edges, "src", wedges_bucket,
-                               num_buckets=32)
+        wedges = hash_exchange(dir_edges, "src", wedges_bucket, num_buckets=32)
         probe = dir_edges.map_batches(
             lambda t: pa.table({"wk": pa.array(
                 np.asarray(t["src"], dtype=np.int64) * TRI_OFF
@@ -879,8 +878,7 @@ def q84_triangles(sf_dir: str):
 
         partials = tris.map_batches(explode_nodes, batch_format="pyarrow")
 
-    counts = bucketed_sum(partials, ["node"], "one", "tri",
-                          engine="exchange")
+    counts = bucketed_sum(partials, ["node"], "one", "tri")
     return counts.map_batches(
         lambda t: pa.table({"node_id": t["node"], "tri": t["tri"]}),
         batch_format="pyarrow")
@@ -946,7 +944,7 @@ def q89_kcore(sf_dir: str):
                     "s": t["s"],
                     "one": pa.array(np.ones(t.num_rows, dtype=np.int64))}),
                 batch_format="pyarrow"),
-            ["s"], "one", "deg", engine="exchange")
+            ["s"], "one", "deg")
 
     for _ in range(KCORE_ROUNDS):
         # materialize the O(nodes) kept set: hash_join's schema fetch
@@ -1093,8 +1091,7 @@ def q106_bfs(sf_dir: str):
         reached = shards.map(fr_s, _bfs_neighbors).materialize()
         nb = dedup_keep_first(
             reached.map_batches(lambda t: _n_schema(t, "n"),
-                                batch_format="pyarrow"), "n",
-            engine="exchange")
+                                batch_format="pyarrow"), "n")
         frontier = hash_join(nb, visited, "n", num_buckets=16,
                              how="anti").materialize()
         visited = visited.union(frontier).materialize()
@@ -1283,8 +1280,7 @@ def q129_item_similarity(sf_dir: str):
 
     tagged = hash_exchange(li, "ok", order_partials, num_buckets=32)
     sums = bucketed_sum_multi(tagged, ["kind", "key"], {"n_p": "n"},
-                              num_buckets=32,
-                              engine="exchange").materialize()
+                              num_buckets=32).materialize()
 
     items = sums.map_batches(
         lambda t: t.filter(pa.compute.equal(t["kind"], 0)),
@@ -1433,8 +1429,7 @@ def q136_label_propagation(sf_dir: str):
         return pa.table({"m": pa.array(u), "lbl": pa.array(u)})
 
     # label table keyed by the ROUTING column name m = node id
-    labels = hash_exchange(sym, "n", init_labels,
-                           num_buckets=16).materialize()
+    labels = hash_exchange(sym, "n", init_labels, num_buckets=16).materialize()
 
     def pick_mode(t: pa.Table) -> pa.Table:
         """Sum partial vote counts and take the per-node argmax
@@ -1765,8 +1760,7 @@ def q141_hits(sf_dir: str):
 
         joined = hash_join(edges, scores, on=from_col, num_buckets=16,
                            post=part)
-        return bucketed_sum(joined, [to_col], "vp", "v", num_buckets=16,
-                            engine="exchange")
+        return bucketed_sum(joined, [to_col], "vp", "v", num_buckets=16)
 
     h1 = _hop(a1, "s", "p").materialize()
     a2 = _hop(h1, "p", "s").materialize()
@@ -1860,7 +1854,7 @@ def q148_degree_assortativity(sf_dir: str):
     sums = bucketed_sum_multi(
         parts, ["k"],
         {c: c for c in ("n_e", "sx", "sy", "sxy", "sxx", "syy")},
-        num_buckets=1, engine="exchange")
+        num_buckets=1)
 
     def finish(t: pa.Table) -> pa.Table:
         _OUT = pa.schema([("n_edges_directed", pa.int64()),

@@ -113,7 +113,7 @@ def _query_side(sf_dir: str, n_queries: int):
 
 def q10_knn_bruteforce(sf_dir: str):
     """Exact top-k cosine neighbors for the first N_QUERIES vectors."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     q_ids, q_mat = _query_side(sf_dir, N_QUERIES)
     ref = ray.put((q_ids, q_mat))
@@ -152,7 +152,7 @@ def q10_knn_bruteforce(sf_dir: str):
         m = _topk_mask(q, cos, vid, TOP_K)
         return bucket.filter(pa.array(m))
 
-    return bucketed_groups(scored, "query_id", topk)
+    return hash_exchange(scored, "query_id", topk)
 
 
 _COS_SQL = (
@@ -241,7 +241,7 @@ def ann_lsh(sf_dir: str, n_queries: int = N_QUERIES, k: int = TOP_K):
              per-(bucket × query) partial top-k;
     reduce:  bucketed per-query top-k merge.
     Approximate → no SQL oracle; recall vs q10 is asserted in pytest."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     q_ids, q_mat = _query_side(sf_dir, n_queries)
     q_mat = _normalize(q_mat)
@@ -290,9 +290,9 @@ def ann_lsh(sf_dir: str, n_queries: int = N_QUERIES, k: int = TOP_K):
                                   "cos_e6": pa.array(flat[msk])}))
         return pa.concat_tables(outs) if outs else empty
 
-    partial = bucketed_groups(indexed, "bucket", probe)
-    return bucketed_groups(partial, "query_id",
-                           lambda b: _merge_topk_bucket(b, k))
+    partial = hash_exchange(indexed, "bucket", probe)
+    return hash_exchange(partial, "query_id",
+                         lambda b: _merge_topk_bucket(b, k))
 
 
 def _merge_topk_bucket(bucket: pa.Table, k: int) -> pa.Table:
@@ -523,7 +523,7 @@ def ann_ivf_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = TOP_K):
     reduce: per-query top-k merge (shared with ann_lsh).
     Approximate → no SQL oracle; recall vs exact is asserted in pytest
     on the planted-cluster corpus."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     cents = _ivf_centroids(sf_dir, IVF_CELLS)
     q_ids, q_mat = _query_side(sf_dir, n_queries)
@@ -578,9 +578,9 @@ def ann_ivf_topk(sf_dir: str, n_queries: int = N_QUERIES, k: int = TOP_K):
                                   "cos_e6": pa.array(flat[msk])}))
         return pa.concat_tables(outs) if outs else empty
 
-    partial = bucketed_groups(indexed, "cell", probe)
-    return bucketed_groups(partial, "query_id",
-                           lambda b: _merge_topk_bucket(b, k))
+    partial = hash_exchange(indexed, "cell", probe)
+    return hash_exchange(partial, "query_id",
+                         lambda b: _merge_topk_bucket(b, k))
 
 
 def ann_neardup_lsh(sf_dir: str):
@@ -589,7 +589,7 @@ def ann_neardup_lsh(sf_dir: str):
     verification (every emitted pair is a true q11 pair; recall is the
     collision probability across tables).  Dedup across tables on the
     packed pair key."""
-    from ..functions.grouping import bucketed_groups, dedup_keep_first
+    from ..functions.grouping import dedup_keep_first, hash_exchange
 
     def add_buckets(t: pa.Table) -> pa.Table:
         _, mat = _matrix(t)
@@ -635,7 +635,7 @@ def ann_neardup_lsh(sf_dir: str):
             }))
         return pa.concat_tables(outs) if outs else empty
 
-    cand = bucketed_groups(indexed, "bucket", pairs)
+    cand = hash_exchange(indexed, "bucket", pairs)
     return dedup_keep_first(cand, "pair_key").select_columns(
         ["vec_a", "vec_b", "cos_e6"])
 
@@ -955,7 +955,7 @@ def q70_negative_sampling(sf_dir: str):
     corpus (locality-bounded negative sampling).  md5 is the
     oracle-parity hash; production would swap in xxhash like
     simhash_fast."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
     from ..functions.hashing import md5_lower64
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet",
@@ -1013,8 +1013,7 @@ def q70_negative_sampling(sf_dir: str):
         })
 
     keyed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    return bucketed_groups(keyed, "b", bucket_fn,
-                           num_buckets=NEG_BUCKETS)
+    return hash_exchange(keyed, "b", bucket_fn, num_buckets=NEG_BUCKETS)
 
 
 SQL_Q70 = f"""
@@ -1127,7 +1126,7 @@ def q126_mutual_knn(sf_dir: str):
     shuffle is needed for its neighbor list), and mutuality is ONE
     exchange on the packed undirected pair key — a pair key collects
     exactly 2 rows iff both directions agree."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     ids_all, mat_all = _query_side(sf_dir, 1 << 62)      # whole corpus
     ref = ray.put((ids_all, mat_all))
@@ -1179,8 +1178,7 @@ def q126_mutual_knn(sf_dir: str):
             "cos_e6": pa.array(cos[keep], type=pa.int64()),
         })
 
-    return bucketed_groups(edges, "pk", mutual, num_buckets=16,
-                           engine="exchange")
+    return hash_exchange(edges, "pk", mutual, num_buckets=16)
 
 
 SQL_Q126 = f"""
@@ -1318,7 +1316,7 @@ def ann_pq_topk(sf_dir: str, n_queries: int = N_QUERIES,
     streaming filtered pass, never a corpus materialize.  Approximate →
     rows-only driver check; pool + final recall vs the exact ranking
     are pinned in tests/test_ann.py."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     emb = _read_embeddings(sf_dir)
     cents = _pq_train(emb)
@@ -1360,7 +1358,7 @@ def ann_pq_topk(sf_dir: str, n_queries: int = N_QUERIES,
         msk = _topk_mask(q, -d, vid, rerank)
         return bucket.filter(pa.array(msk))
 
-    pool = (bucketed_groups(scored, "query_id", pool_topk)
+    pool = (hash_exchange(scored, "query_id", pool_topk)
             .to_pandas())                       # ≤ nq·R skinny rows
     return _exact_rerank(emb, pool, q_ids, q_mat, k)
 
@@ -1422,7 +1420,7 @@ def ann_ivfpq_topk(sf_dir: str, n_queries: int = N_QUERIES,
     shared per-subspace Lloyd; ONE cell-keyed exchange co-locates each
     list; nothing materializes the corpus.  Approximate → rows-only
     driver check; recall vs exact is pinned in tests/test_ann.py."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     emb = _read_embeddings(sf_dir)
     cents = _ivf_centroids(sf_dir, IVF_CELLS)            # (cells, d) unit
@@ -1506,7 +1504,7 @@ def ann_ivfpq_topk(sf_dir: str, n_queries: int = N_QUERIES,
                                   "adc_e6": pa.array(flat[msk])}))
         return pa.concat_tables(outs) if outs else empty
 
-    partial = bucketed_groups(codes, "cell", probe)
+    partial = hash_exchange(codes, "cell", probe)
 
     def pool_topk(bucket: pa.Table) -> pa.Table:
         q = np.asarray(bucket["query_id"])
@@ -1515,7 +1513,7 @@ def ann_ivfpq_topk(sf_dir: str, n_queries: int = N_QUERIES,
         msk = _topk_mask(q, -d, vid, rerank)
         return bucket.filter(pa.array(msk))
 
-    pool = bucketed_groups(partial, "query_id", pool_topk).to_pandas()
+    pool = hash_exchange(partial, "query_id", pool_topk).to_pandas()
     return _exact_rerank(emb, pool, q_ids, q_mat, k)
 
 

@@ -378,7 +378,7 @@ def approx_quantiles(ds: ray.data.Dataset, col: str,
                          "c": pa.array(counts[nz].astype(np.int64))})
 
     summed = bucketed_sum(ds.map_batches(hist_partial, batch_format="pyarrow"),
-                          ["bin"], "c", "c", engine="exchange")
+                          ["bin"], "c", "c")
     h = summed.to_pandas().sort_values("bin").reset_index(drop=True)
     cum = h["c"].cumsum().to_numpy()
     n = int(cum[-1])
@@ -500,7 +500,7 @@ def q87_profile_documents(sf_dir: str):
     dparts = hash_exchange(
         ds.map_batches(distinct_rows, batch_format="pyarrow"),
         "rk", distinct_bucket, num_buckets=16)
-    distinct = bucketed_sum(dparts, ["col"], "d", "val", engine="exchange")
+    distinct = bucketed_sum(dparts, ["col"], "d", "val")
 
     def basics_long(t: pa.Table) -> pa.Table:
         cols, stats, vals = [], [], []
@@ -619,8 +619,7 @@ def q94_audience_overlap(sf_dir: str):
         .map_batches(dedup, batch_format="pyarrow")
     partials = hash_exchange(rows, "user_id", user_bucket, num_buckets=32)
     sums = bucketed_sum_multi(partials, ["ta", "tb"],
-                              {"inter": "inter", "na": "na"},
-                              engine="exchange")
+                              {"inter": "inter", "na": "na"})
 
     def finish(t: pa.Table) -> pa.Table:
         _OUT = pa.schema([("ta", pa.string()), ("tb", pa.string()),
@@ -711,7 +710,7 @@ def q132_key_skew(sf_dir: str):
 
     counts = bucketed_sum(orders.map_batches(combiner,
                                              batch_format="pyarrow"),
-                          ["key"], "cnt_p", "cnt", engine="exchange")
+                          ["key"], "cnt_p", "cnt")
 
     def local_top(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "key" not in t.column_names:
@@ -824,7 +823,7 @@ def q140_correlation_matrix(sf_dir: str):
     sums = bucketed_sum_multi(
         parts, ["pair"],
         {c: c for c in ("n", "sx", "sy", "sxy", "sxx", "syy")},
-        num_buckets=4, engine="exchange")
+        num_buckets=4)
 
     def finish(t: pa.Table) -> pa.Table:
         _OUT = pa.schema([("col_x", pa.string()), ("col_y", pa.string()),
@@ -926,7 +925,7 @@ def q152_k_anonymity(sf_dir: str):
 
     sums = bucketed_sum(cust.map_batches(partial, batch_format="pyarrow"),
                         ["nation", "seg", "bal_bin"], "n_p", "n",
-                        num_buckets=8, engine="exchange")
+                        num_buckets=8)
     return sums.filter(expr=f"n < {K_ANON}")
 
 
@@ -984,7 +983,7 @@ def q170_l_diversity(sf_dir: str):
 
     cells = bucketed_sum(cust.map_batches(partial, batch_format="pyarrow"),
                          ["nation", "seg", "bal_bin"], "n_p", "m",
-                         num_buckets=8, engine="exchange")
+                         num_buckets=8)
 
     _OUT = pa.schema([("nation", pa.int64()), ("seg", pa.string()),
                       ("n", pa.int64()), ("l_distinct", pa.int64()),

@@ -1282,7 +1282,7 @@ def q142_char_histogram(sf_dir: str):
     parts = _docs(sf_dir, columns=("lang", "text")).map_batches(
         _char_hist_partial, batch_format="pyarrow")
     return bucketed_sum(parts, ["lang", "ch"], "cnt_p", "cnt",
-                        num_buckets=8, engine="exchange")
+                        num_buckets=8)
 
 
 SQL_Q142 = """
@@ -1510,7 +1510,7 @@ def q190_dup_spans(sf_dir: str):
     step the reference family lacks."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     rows = _docs(sf_dir)
 
@@ -1571,10 +1571,8 @@ def q190_dup_spans(sf_dir: str):
 
     sh_rows = rows.map_batches(positioned, batch_format="pyarrow",
                                batch_size=256)
-    hits = bucketed_groups(sh_rows, "sh", dup_hits, 32,
-                           engine="exchange", repartition=False)
-    return bucketed_groups(hits, "doc_id", islands, 32,
-                           engine="exchange", repartition=False)
+    hits = hash_exchange(sh_rows, "sh", dup_hits, 32)
+    return hash_exchange(hits, "doc_id", islands, 32)
 
 
 SQL_Q190 = f"""

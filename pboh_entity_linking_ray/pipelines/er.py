@@ -30,7 +30,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from ..functions.grouping import bucketed_groups, bucketed_sum, bucketed_sum_multi
+from ..functions.grouping import bucketed_sum, bucketed_sum_multi, hash_exchange
 from ..functions.similarity import jaro_winkler_batch
 from .relational import _t
 
@@ -129,12 +129,10 @@ def q117_sorted_neighborhood(sf_dir: str):
     parts = _t(sf_dir, "part", ["p_partkey", "p_name"])
     skinny = parts.map_batches(_sn_prep, batch_format="pyarrow",
                                batch_size=8192)
-    within = bucketed_groups(skinny, "rb", pairs_fn,
-                             num_buckets=SN_BUCKETS, engine="exchange")
+    within = hash_exchange(skinny, "rb", pairs_fn, num_buckets=SN_BUCKETS)
 
-    frags = bucketed_groups(skinny, "rb", frag_fn,
-                            num_buckets=SN_BUCKETS,
-                            engine="exchange").take_all()
+    frags = hash_exchange(skinny, "rb", frag_fn,
+                          num_buckets=SN_BUCKETS).take_all()
     cross = pa.table({k: pa.array([], type=v) for k, v in _SN_EMPTY.items()})
     if frags:
         rb = np.array([r["rb"] for r in frags], dtype=np.int64)
@@ -221,8 +219,8 @@ def q118_metablocking(sf_dir: str):
                          "cbs_p": pa.array(cnt.astype(np.int64))})
 
     fps = q15_winnow_fingerprints(sf_dir)
-    partial = bucketed_groups(fps, "fp_hex", emit_pairs, engine="exchange")
-    agg = bucketed_sum(partial, ["pair"], "cbs_p", "cbs", engine="exchange")
+    partial = hash_exchange(fps, "fp_hex", emit_pairs)
+    agg = bucketed_sum(partial, ["pair"], "cbs_p", "cbs")
 
     def finish(t: pa.Table) -> pa.Table:
         pair = np.asarray(t["pair"], dtype=np.int64)
@@ -325,12 +323,11 @@ def q119_fs_weights(sf_dir: str):
 
     parts = _t(sf_dir, "part", ["p_partkey", "p_name", "p_brand",
                                 "p_type", "p_size", "p_retailprice"])
-    partial = bucketed_groups(parts, "p_brand", fs_partial,
-                              num_buckets=16, engine="exchange")
+    partial = hash_exchange(parts, "p_brand", fs_partial, num_buckets=16)
     return bucketed_sum_multi(partial, ["feature"],
                               {c: c for c in ("m_agree", "m_total",
                                               "u_agree", "u_total")},
-                              num_buckets=4, engine="exchange")
+                              num_buckets=4)
 
 
 SQL_Q119 = """
@@ -413,12 +410,11 @@ def q120_score_calibration(sf_dir: str):
                          "n_match_p": pa.array(cnt[1::2][live])})
 
     parts = _t(sf_dir, "part", ["p_partkey", "p_name", "p_brand", "p_type"])
-    partial = bucketed_groups(parts, "p_brand", cal_partial,
-                              num_buckets=16, engine="exchange")
+    partial = hash_exchange(parts, "p_brand", cal_partial, num_buckets=16)
     return bucketed_sum_multi(partial, ["bin"],
                               {"n_pairs_p": "n_pairs",
                                "n_match_p": "n_match"},
-                              num_buckets=4, engine="exchange")
+                              num_buckets=4)
 
 
 SQL_Q120 = """
@@ -515,8 +511,7 @@ def q128_soundex_blocking(sf_dir: str):
 
     parts = _t(sf_dir, "part", ["p_name"]).map_batches(
         encode, batch_format="pyarrow")
-    return bucketed_groups(parts, "code", inventory, num_buckets=8,
-                           engine="exchange")
+    return hash_exchange(parts, "code", inventory, num_buckets=8)
 
 
 # --- q188: NYSIIS phonetic blocking ------------------------------------------
@@ -640,8 +635,7 @@ def q188_nysiis_blocking(sf_dir: str):
 
     parts = _t(sf_dir, "part", ["p_name"]).map_batches(
         encode, batch_format="pyarrow")
-    return bucketed_groups(parts, "code", inventory, num_buckets=8,
-                           engine="exchange")
+    return hash_exchange(parts, "code", inventory, num_buckets=8)
 
 
 _SOUNDEX_SQL_CODE = (
@@ -913,7 +907,7 @@ def q191_crowd_adjudication(sf_dir: str):
         return res.select(["a", "b", "n_answers", "resolution"]) \
             .to_arrow().cast(_Q191_OUT)
 
-    return bucketed_groups(ans, "a", fold, num_buckets=16) \
+    return hash_exchange(ans, "a", fold, num_buckets=16) \
         .sort(["a", "b"])
 
 
@@ -952,7 +946,7 @@ def q192_worker_stats(sf_dir: str):
             .alias("n_empty_other"))
         return out.to_arrow().cast(_Q192_OUT)
 
-    return bucketed_groups(ans, "worker_id", fold, num_buckets=16) \
+    return hash_exchange(ans, "worker_id", fold, num_buckets=16) \
         .sort("worker_id")
 
 
@@ -984,7 +978,7 @@ def q194_vote_summary(sf_dir: str):
 
     return bucketed_sum(res.map_batches(partial, batch_format="pyarrow"),
                         ["resolution"], "n_questions", "n_questions",
-                        num_buckets=2, engine="exchange") \
+                        num_buckets=2) \
         .sort("resolution")
 
 
@@ -1023,7 +1017,7 @@ def q195_answers_histogram(sf_dir: str):
 
     return bucketed_sum(res.map_batches(partial, batch_format="pyarrow"),
                         ["n_answers"], "n_questions", "n_questions",
-                        num_buckets=2, engine="exchange") \
+                        num_buckets=2) \
         .sort("n_answers")
 
 
@@ -1218,8 +1212,7 @@ def q130_canopy(sf_dir: str):
 
     pairs = q12_ngram_jaccard_pairs(sf_dir)
     edges = pairs.map_batches(sym, batch_format="pyarrow")
-    centers = bucketed_groups(edges, "doc_id", center_flags,
-                              num_buckets=8, engine="exchange")
+    centers = hash_exchange(edges, "doc_id", center_flags, num_buckets=8)
     # (node, center-neighbor) assignments: edges whose far end is a center
     asg = hash_join(edges, centers, on="m", how="semi", num_buckets=8)
 
@@ -1360,8 +1353,7 @@ def q131_monge_elkan(sf_dir: str):
                          "me_e4": pa.array(me[keep])})
 
     parts = _t(sf_dir, "part", ["p_partkey", "p_name", "p_brand"])
-    return bucketed_groups(parts, "p_brand", me_pairs,
-                           num_buckets=16, engine="exchange")
+    return hash_exchange(parts, "p_brand", me_pairs, num_buckets=16)
 
 
 SQL_Q131 = f"""
@@ -1771,10 +1763,9 @@ def q155_em_fs(sf_dir: str):
 
     parts = _t(sf_dir, "part", ["p_partkey", "p_brand", "p_type",
                                 "p_size", "p_retailprice"])
-    partial = bucketed_groups(parts, "p_brand", pat_partial,
-                              num_buckets=16, engine="exchange")
+    partial = hash_exchange(parts, "p_brand", pat_partial, num_buckets=16)
     summed = bucketed_sum(partial, ["pattern"], "n", "n",
-                          num_buckets=4, engine="exchange")
+                          num_buckets=4)
 
     # Driver epilogue over the 8-row pattern table (O(2^k), size-free).
     pdf = summed.to_pandas().sort_values("pattern")

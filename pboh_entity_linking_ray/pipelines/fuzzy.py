@@ -35,7 +35,7 @@ def _vocab(sf_dir: str) -> np.ndarray:
     """Distinct document tokens, sorted — built as a pre-aggregated
     distinct (the stats-build pattern), collected as the in-actor index
     (the reference keeps the full sorted mention array in JVM heap)."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet",
                                columns=["text"])
@@ -53,8 +53,8 @@ def _vocab(sf_dir: str) -> np.ndarray:
 
         return pl.from_arrow(bucket).unique().to_arrow()
 
-    distinct = bucketed_groups(ds.map_batches(partial, batch_format="pyarrow"),
-                               "tok", uniq)
+    distinct = hash_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                             "tok", uniq)
     return np.sort(distinct.to_pandas()["tok"].to_numpy())
 
 
@@ -255,7 +255,7 @@ def q21_candidate_augment(sf_dir: str):
     hash-partitioned; the in-bucket scan is a chunked polars self-join
     with one vectorized literal-contains pass — never a Python loop over
     token pairs."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text"])
@@ -313,7 +313,7 @@ def q21_candidate_augment(sf_dir: str):
         return out.select(["doc_id", "mention", "candidate"]) \
                   .to_arrow().cast(out_schema)
 
-    return bucketed_groups(rows, "doc_id", augment)
+    return hash_exchange(rows, "doc_id", augment)
 
 
 SQL_Q21 = f"""

@@ -1,7 +1,8 @@
 """The flagship end-to-end linkage pipeline.
 
 read turns → canonicalize → featurize → stats (vocab, cooc) → block →
-pair-gen (salted) → dedup → score (actor pool) → cluster → eval.
+pair-gen (salted) → dedup → attach + score (task pool fused into the
+second attach join's buckets) → cluster → eval.
 
 Every ``→`` is an optional Parquet checkpoint with a lineage manifest
 (state/checkpoint.py); passing ``checkpoint_root=None`` keeps the whole

@@ -105,7 +105,7 @@ def link_dedup_exact(sf_dir: str):
     """Exact-duplicate conversations by canonical text — hash-partitioned
     on the content, one vectorized polars pass per bucket
     (functions/grouping.py rationale: never one Python call per key)."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     conv = canonicalize(_turns(sf_dir), 64)
 
@@ -120,8 +120,8 @@ def link_dedup_exact(sf_dir: str):
         )
         return out.to_arrow()
 
-    return bucketed_groups(conv.select_columns(["conv_id", "mention_doc"]),
-                           "mention_doc", keep_min)
+    return hash_exchange(conv.select_columns(["conv_id", "mention_doc"]),
+                         "mention_doc", keep_min)
 
 
 SQL_DEDUP_EXACT = f"""
@@ -193,7 +193,7 @@ def link_minhash_lsh_candidates(sf_dir: str):
     *algorithm* itself is oracle-checked end-to-end."""
     keyed = _md5_band_keys(sf_dir)
 
-    from ..functions.grouping import bucketed_groups, dedup_keep_first
+    from ..functions.grouping import dedup_keep_first, hash_exchange
 
     def bucket_pairs(bucket: pa.Table) -> pa.Table:
         """All (band,bkey) groups of one hash bucket → pair rows, sliced
@@ -223,7 +223,7 @@ def link_minhash_lsh_candidates(sf_dir: str):
             "conv_b": pa.array(np.concatenate(cb), type=pa.string()),
         })
 
-    cand = bucketed_groups(keyed, "bkey", bucket_pairs)
+    cand = hash_exchange(keyed, "bkey", bucket_pairs)
 
     def keyed_pairs(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -414,7 +414,7 @@ def link_signature_blocking_quality(sf_dir: str):
 
     groups = bucketed_sum(
         docs.map_batches(sig_counts, batch_format="pyarrow"),
-        ["sig"], "m", "m", engine="exchange")
+        ["sig"], "m", "m")
 
     _F = pa.schema([("n_convs", pa.int64()), ("n_cand", pa.int64())])
 
@@ -522,7 +522,7 @@ def cluster_quality(clusters: ray.data.Dataset,
 
     cells = bucketed_sum_multi(
         clusters.map_batches(cell_partial, batch_format="pyarrow"),
-        ["c", "g"], {"n_p": "n"}, num_buckets=16, engine="exchange")
+        ["c", "g"], {"n_p": "n"}, num_buckets=16)
     return bcubed_ari_report(cells)
 
 
@@ -637,7 +637,7 @@ def link_pr_curve(sf_dir: str):
     rows = bucketed_sum_multi(
         res.scored.map_batches(partial, batch_format="pyarrow"),
         ["bin"], {"n_pairs": "n_pairs", "n_pos": "n_pos"}, num_buckets=2,
-        engine="exchange").to_pandas().sort_values("bin", ascending=False)
+    ).to_pandas().sort_values("bin", ascending=False)
 
     out: list[tuple] = []
     cum_n = cum_p = 0
@@ -717,8 +717,7 @@ def link_cluster_labels(sf_dir: str):
 
     ct = bucketed_sum(tagged.map_batches(drop_conv,
                                          batch_format="pyarrow"),
-                      ["cluster_id", "tok"], "c_p", "c",
-                      engine="exchange").materialize()
+                      ["cluster_id", "tok"], "c_p", "c").materialize()
 
     n_clusters = int(res.clusters.count())
     df_tok = bucketed_sum(
@@ -729,7 +728,7 @@ def link_cluster_labels(sf_dir: str):
             if t.num_rows else pa.schema(
                 [("tok", pa.string()), ("d_p", pa.int64())]).empty_table(),
             batch_format="pyarrow"),
-        ["tok"], "d_p", "df", engine="exchange")
+        ["tok"], "d_p", "df")
 
     scored = hash_join(ct, df_tok, "tok", num_buckets=16)
 
@@ -798,7 +797,7 @@ def link_block_histogram(sf_dir: str):
         inv.map_batches(partial, batch_format="pyarrow"), ["b"],
         {"n_blocks": "n_blocks", "n_members": "n_members",
          "n_pairs": "n_pairs"}, num_buckets=2,
-        engine="exchange").to_pandas().sort_values("b", ascending=False)
+    ).to_pandas().sort_values("b", ascending=False)
     total_pairs = int(h["n_pairs"].sum())
     cum = h["n_pairs"].cumsum()
     share = (1_000_000 * cum // total_pairs) if total_pairs else cum * 0
@@ -1111,8 +1110,8 @@ def link_rank_histogram(sf_dir: str):
 
     cand_rows = res.scored.map_batches(rekey, batch_format="pyarrow")
     partials = hash_exchange(cand_rows, "q", fold, num_buckets=16)
-    hist = bucketed_sum(partials, ["bucket"], "n", "n", num_buckets=2,
-                        engine="exchange").to_pandas()
+    hist = bucketed_sum(partials, ["bucket"], "n", "n",
+                        num_buckets=2).to_pandas()
     # each labeled pair is ranked from BOTH endpoints (the reference
     # counts per mention; a pair = two mentions)
     found = int(hist["n"].sum())
@@ -1197,7 +1196,7 @@ def link_turn_quality(sf_dir: str):
     same shuffle discipline as canonicalize."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     turns = _turns(sf_dir).select_columns(
         ["conv_id", "turn_idx", "role", "tool", "text"])
@@ -1232,7 +1231,7 @@ def link_turn_quality(sf_dir: str):
         out = df.to_arrow()
         return out.cast(empty.schema)
 
-    return bucketed_groups(turns, "conv_id", per_conv)
+    return hash_exchange(turns, "conv_id", per_conv)
 
 
 SQL_TURN_QUALITY = f"""
@@ -1272,7 +1271,7 @@ def link_tool_latency(sf_dir: str):
     Python-floor == DuckDB-trunc."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     turns = _turns(sf_dir).select_columns(
         ["conv_id", "turn_idx", "role", "tool", "ts"])
@@ -1307,8 +1306,7 @@ def link_tool_latency(sf_dir: str):
     # the direct exchange, not the sort groupby: with the timestamp
     # column aboard, the sort engine measured 3.8-5.2 s at sf0.1 vs
     # 1.1 s for the exchange on the identical input
-    partials = bucketed_groups(turns, "conv_id", per_conv,
-                               engine="exchange")
+    partials = hash_exchange(turns, "conv_id", per_conv)
 
     # the partial stream is O(buckets × tools) skinny rows — fold it on
     # the driver (the q55/q125 device) instead of paying a native
@@ -1426,7 +1424,7 @@ def link_sft_pairs(sf_dir: str):
     the conv partition, null-skipping concat."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     turns = _turns(sf_dir).select_columns(
         ["conv_id", "turn_idx", "role", "text"])
@@ -1458,7 +1456,7 @@ def link_sft_pairs(sf_dir: str):
                    pl.col("text").alias("target")))
         return out.to_arrow().cast(empty.schema)
 
-    return bucketed_groups(turns, "conv_id", per_conv)
+    return hash_exchange(turns, "conv_id", per_conv)
 
 
 CTX_WIN_W = 4   # turns per window
@@ -1479,7 +1477,7 @@ def link_context_windows(sf_dir: str):
     assembles every window's ordered text."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     turns = _turns(sf_dir).select_columns(["conv_id", "turn_idx", "text"])
 
@@ -1509,7 +1507,7 @@ def link_context_windows(sf_dir: str):
                .select(["conv_id", "win_idx", "n_turns", "win_text"]))
         return out.to_arrow().cast(empty.schema)
 
-    return bucketed_groups(turns, "conv_id", per_conv)
+    return hash_exchange(turns, "conv_id", per_conv)
 
 
 SQL_CONTEXT_WINDOWS = f"""
@@ -1560,7 +1558,7 @@ def link_transition_matrix(sf_dir: str):
     bucket plus an O(kinds × pairs) final combine."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups, bucketed_sum_multi
+    from ..functions.grouping import bucketed_sum_multi, hash_exchange
 
     turns = _turns(sf_dir).select_columns(
         ["conv_id", "turn_idx", "role", "tool"])
@@ -1596,12 +1594,12 @@ def link_transition_matrix(sf_dir: str):
         ])
         return out.to_arrow().cast(empty.schema)
 
-    part = bucketed_groups(turns, "conv_id", per_bucket)
+    part = hash_exchange(turns, "conv_id", per_bucket)
     # a conv is in exactly one bucket → summing partial n_convs is exact
     return bucketed_sum_multi(part, ["kind", "a", "b"],
                               {"n_transitions": "n_transitions",
                                "n_convs": "n_convs"},
-                              num_buckets=4, engine="exchange")
+                              num_buckets=4)
 
 
 SQL_TRANSITIONS = f"""
@@ -1895,7 +1893,7 @@ def link_protocol_gate(sf_dir: str):
     clean conversations never leave the bucket task."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     turns = _turns(sf_dir).select_columns(["conv_id", "turn_idx", "role"])
 
@@ -1931,7 +1929,7 @@ def link_protocol_gate(sf_dir: str):
                       + pl.col("ends_nonassistant") > 0))
         return df.to_arrow().cast(empty.schema)
 
-    return bucketed_groups(turns, "conv_id", gate)
+    return hash_exchange(turns, "conv_id", gate)
 
 
 SQL_PROTOCOL_GATE = f"""

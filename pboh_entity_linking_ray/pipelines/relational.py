@@ -268,7 +268,7 @@ def q06_doc_dedup_exact(sf_dir: str):
     HASH of the text (functions/grouping.py with_bucket) while the
     in-bucket group key stays the full text — collision-exact AND one
     Python call per bucket instead of per distinct document."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     ds = _t(sf_dir, "documents", ["doc_id", "text"])
 
@@ -283,7 +283,7 @@ def q06_doc_dedup_exact(sf_dir: str):
         )
         return out.to_arrow()
 
-    return bucketed_groups(ds, "text", keep_min, engine="exchange")
+    return hash_exchange(ds, "text", keep_min)
 
 
 SQL_Q06 = """
@@ -457,7 +457,7 @@ def q153_langid_confusion(sf_dir: str):
 
     return bucketed_sum(ds.map_batches(partial, batch_format="pyarrow"),
                         ["lang", "pred_lang"], "n_p", "n_docs",
-                        num_buckets=2, engine="exchange")
+                        num_buckets=2)
 
 
 def _sql_q153() -> str:
@@ -486,14 +486,14 @@ def q14_sessionize(sf_dir: str):
     (all of one user's events meet in one bucket — the multi-node shuffle
     contract) and each bucket runs ONE polars pass of sort + per-user
     diff/cum_sum — never a Python call per user."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def sessions(bucket: pa.Table) -> pa.Table:
         return _sessions_df(bucket).to_arrow()
 
-    return bucketed_groups(ds, "user_id", sessions, engine="exchange")
+    return hash_exchange(ds, "user_id", sessions)
 
 
 def _sessions_df(bucket: pa.Table):
@@ -556,7 +556,7 @@ def q99_peak_concurrency(sf_dir: str):
     microsecond."""
     import pyarrow.compute as pc
 
-    from ..functions.grouping import bucketed_groups, range_prefix_sum
+    from ..functions.grouping import hash_exchange, range_prefix_sum
 
     ds = _t(sf_dir, "events", ["event_id", "user_id", "ts"])
 
@@ -575,7 +575,7 @@ def q99_peak_concurrency(sf_dir: str):
                             -np.ones(len(e), dtype=np.int64)])
         return pa.table({"k": pa.array(k), "delta": pa.array(d)})
 
-    d = bucketed_groups(ds, "user_id", deltas, engine="exchange")
+    d = hash_exchange(ds, "user_id", deltas)
     # ~2 rows per session; 1-hour ranges keep driver state O(#hours)
     run = range_prefix_sum(d, "k", "delta", out_name="cum_before",
                            range_width=3_600_000_000 * 2)
@@ -1478,8 +1478,7 @@ def q38_shipping_priority(sf_dir: str):
         }).group_by("l_orderkey").agg(pl.col("rev").sum()).to_arrow())
 
     rev = bucketed_sum(line.map_batches(rev_partial, batch_format="pyarrow"),
-                       ["l_orderkey"], "rev", "revenue_e2",
-                       engine="exchange")
+                       ["l_orderkey"], "rev", "revenue_e2")
 
     cust = _t(sf_dir, "customer", ["c_custkey"],
               filter=pads.field("c_mktsegment") == Q3_SEGMENT)
@@ -1588,7 +1587,7 @@ def q33_pivot_user_events(sf_dir: str):
     part = ev.map_batches(partial, batch_format="pyarrow")
     cols = {f"n_{ty}": f"n_{ty}" for ty in PIVOT_TYPES}
     cols["n_total"] = "n_total"
-    return bucketed_sum_multi(part, ["user_id"], cols, engine="exchange")
+    return bucketed_sum_multi(part, ["user_id"], cols)
 
 
 SQL_Q33 = "SELECT user_id, " + ", ".join(
@@ -1669,7 +1668,7 @@ def q29_doc_len_quantiles(sf_dir: str):
                 .to_arrow())
 
     hist = bucketed_sum(docs.map_batches(counts, batch_format="pyarrow"),
-                        ["n_chars"], "c", "c", engine="exchange")
+                        ["n_chars"], "c", "c")
     h = hist.to_pandas().sort_values("n_chars").reset_index(drop=True)
     cum = h["c"].cumsum().to_numpy()
     n = int(cum[-1]) if len(cum) else 0
@@ -1737,8 +1736,7 @@ def q75_activity_reconciliation(sf_dir: str):
     spend = bucketed_sum_multi(
         orders.map_batches(big_partial, batch_format="pyarrow"),
         ["c_custkey"], {"big_spend_e2": "big_spend_e2",
-                        "n_big_orders": "n_big_orders"},
-        engine="exchange")
+                        "n_big_orders": "n_big_orders"})
 
     events = _t(sf_dir, "events", ["user_id", "value"],
                 filter=pads.field("event_type") == "purchase")
@@ -1759,8 +1757,7 @@ def q75_activity_reconciliation(sf_dir: str):
     activity = bucketed_sum_multi(
         events.map_batches(purch_partial, batch_format="pyarrow"),
         ["c_custkey"], {"purchase_value_e4": "purchase_value_e4",
-                        "n_purchases": "n_purchases"},
-        engine="exchange")
+                        "n_purchases": "n_purchases"})
 
     joined = hash_join(spend, activity, "c_custkey", how="full")
 
@@ -2012,7 +2009,7 @@ def q79_data_expectations(sf_dir: str):
 
     full_counts = bucketed_sum(
         events.map_batches(id_counts, batch_format="pyarrow"),
-        ["event_id"], "c", "c", engine="exchange")
+        ["event_id"], "c", "c")
 
     def dup_partial(t: pa.Table) -> pa.Table:
         c = np.asarray(t["c"])
@@ -2379,26 +2376,24 @@ def _evolving_shards(sf_dir: str) -> tuple[str, str]:
     long-lived 100 TB table ends up with."""
     import pyarrow.parquet as pq
 
+    from ..state.checkpoint import private_build
+
     tag = os.path.basename(os.path.normpath(sf_dir))
     d = f"/tmp/pboh_ray_evolving/{tag}"
     old_p, new_p = f"{d}/old.parquet", f"{d}/new.parquet"
-    if not (os.path.exists(old_p) and os.path.exists(new_p)):
+    def complete() -> bool:
+        return os.path.exists(old_p) and os.path.exists(new_p)
+
+    if not complete():
         t = pq.read_table(f"{sf_dir}/documents.parquet",
                           columns=["doc_id", "n_chars", "lang"])
         even = t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), 0))
         odd = t.filter(pc.equal(pc.bit_wise_and(t["doc_id"], 1), 1))
-        tmp = d + ".tmp"
-        os.makedirs(tmp, exist_ok=True)
-        pq.write_table(even.select(["doc_id", "n_chars"]),
-                       f"{tmp}/old.parquet")
-        pq.write_table(odd.select(["doc_id", "n_chars", "lang"]),
-                       f"{tmp}/new.parquet")
-        os.makedirs(os.path.dirname(d), exist_ok=True)
-        if os.path.exists(d):
-            import shutil
-
-            shutil.rmtree(d)
-        os.replace(tmp, d)
+        with private_build(d, complete) as tmp:
+            pq.write_table(even.select(["doc_id", "n_chars"]),
+                           f"{tmp}/old.parquet")
+            pq.write_table(odd.select(["doc_id", "n_chars", "lang"]),
+                           f"{tmp}/new.parquet")
     return old_p, new_p
 
 
@@ -2438,8 +2433,8 @@ def q196_schema_evolution_read(sf_dir: str):
 
     return bucketed_sum_multi(
         ds.map_batches(partial, batch_format="pyarrow"), ["lang"],
-        {"n_docs": "n_docs", "sum_chars": "sum_chars"}, num_buckets=2,
-        engine="exchange").sort("lang")
+        {"n_docs": "n_docs", "sum_chars": "sum_chars"},
+        num_buckets=2).sort("lang")
 
 
 EVOLVE_SQL_DIR = "/tmp/pboh_ray_evolving/sf0.01"   # the driver's
@@ -2714,7 +2709,7 @@ def q150_rfm_segments(sf_dir: str):
 
         h = bucketed_sum_multi(
             users.map_batches(f, batch_format="pyarrow"),
-            ["v"], {"c_p": "c"}, num_buckets=4, engine="exchange")
+            ["v"], {"c_p": "c"}, num_buckets=4)
         tb = pa.concat_tables(
             [b for b in h.iter_batches(batch_format="pyarrow")
              if b.num_rows])
@@ -2768,7 +2763,7 @@ def q150_rfm_segments(sf_dir: str):
     return bucketed_sum_multi(cells, ["r_code", "f_code", "m_code"],
                               {"n_users": "n_users",
                                "sum_m_cents": "sum_m_cents"},
-                              num_buckets=2, engine="exchange")
+                              num_buckets=2)
 
 
 SQL_Q150 = f"""

@@ -519,8 +519,7 @@ def q111_rolling_wau(sf_dir: str):
                 .to_arrow())
 
     mem = ev.map_batches(memberships, batch_format="pyarrow")
-    partials = hash_exchange(mem, "user_id", bucket_counts,
-                             num_buckets=16)
+    partials = hash_exchange(mem, "user_id", bucket_counts, num_buckets=16)
     return (partials.groupby("wday")
             .aggregate(Sum("n_partial", alias_name="wau")))
 
@@ -647,8 +646,7 @@ def q90_retention_cohorts(sf_dir: str):
     partials = hash_exchange(
         ev.map_batches(dedup_months, batch_format="pyarrow"),
         "user_id", cohort_bucket, num_buckets=32)
-    return bucketed_sum(partials, ["cohort", "offset_m"], "n", "n_users",
-                        engine="exchange")
+    return bucketed_sum(partials, ["cohort", "offset_m"], "n", "n_users")
 
 
 SQL_Q90 = """
@@ -710,12 +708,10 @@ def q97_attribution(sf_dir: str):
                     revenue_c=pl.col("cents").sum()))
         return out.to_arrow().cast(_OUT)
 
-    partials = hash_exchange(ev, "user_id", attribute_bucket,
-                             num_buckets=32)
+    partials = hash_exchange(ev, "user_id", attribute_bucket, num_buckets=32)
     return bucketed_sum_multi(partials, ["first_touch", "last_touch"],
                               {"n_purch": "n_purch",
-                               "revenue_c": "revenue_c"},
-                              engine="exchange")
+                               "revenue_c": "revenue_c"})
 
 
 SQL_Q97 = """
@@ -789,7 +785,7 @@ def q139_seasonal_anomaly(sf_dir: str):
 
     hc = bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
                       ["event_type", "h"], "cnt", "cnt",
-                      num_buckets=16, engine="exchange")
+                      num_buckets=16)
 
     empty = pa.table({"event_type": pa.array([], type=pa.string()),
                       "hour_idx": pa.array([], type=pa.int64()),
@@ -1075,7 +1071,7 @@ def q151_day_churn(sf_dir: str):
     rows = ev.map_batches(ud_partial, batch_format="pyarrow")
     parts = hash_exchange(rows, "user_id", per_user, num_buckets=16)
     sums = bucketed_sum_multi(parts, ["day"], {"a_p": "a", "i_p": "i"},
-                              num_buckets=2, engine="exchange")
+                              num_buckets=2)
 
     tb_parts = [b for b in sums.iter_batches(batch_format="pyarrow")
                 if b.num_rows]
@@ -1195,7 +1191,7 @@ def q167_kaplan_meier(sf_dir: str):
 
     sums = bucketed_sum_multi(
         users.map_batches(lt_partial, batch_format="pyarrow"), ["t"],
-        {"d_t": "d_t", "m_t": "m_t"}, num_buckets=2, engine="exchange")
+        {"d_t": "d_t", "m_t": "m_t"}, num_buckets=2)
     steps = sums.to_pandas().sort_values("t").reset_index(drop=True)
     t = steps["t"].to_numpy(dtype=np.int64)
     d = steps["d_t"].to_numpy(dtype=np.int64)
@@ -1310,7 +1306,7 @@ def q173_ltv_triangle(sf_dir: str):
                          "user_id", per_user, num_buckets=16)
     tri = bucketed_sum_multi(rows, ["cohort_week", "age"],
                              {"a_p": "n_active", "rev_p": "rev"},
-                             num_buckets=2, engine="exchange") \
+                             num_buckets=2) \
         .to_pandas().sort_values(["cohort_week", "age"])
     cum = tri.groupby("cohort_week")["rev"].cumsum()
     return pa.table({
@@ -1388,7 +1384,7 @@ def q177_acf(sf_dir: str):
             .to_arrow().cast(_PART))
 
     c = (bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                      ["g", "d"], "n", "n", engine="exchange")
+                      ["g", "d"], "n", "n")
          .to_pandas().sort_values(["g", "d"]))
 
     out_g, out_l, out_a = [], [], []
@@ -1485,7 +1481,7 @@ def q181_seasonality(sf_dir: str):
             .to_arrow().cast(_PART))
 
     c = (bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                      ["g", "d"], "n", "n", engine="exchange")
+                      ["g", "d"], "n", "n")
          .to_pandas().sort_values(["g", "d"]))
 
     out_g, out_w, out_c, out_m = [], [], [], []
@@ -1582,7 +1578,7 @@ def q184_backtest(sf_dir: str):
             .to_arrow().cast(_PART))
 
     c = (bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                      ["g", "d"], "n", "n", engine="exchange")
+                      ["g", "d"], "n", "n")
          .to_pandas().sort_values(["g", "d"]))
 
     out = []
@@ -1677,7 +1673,7 @@ def q186_fano(sf_dir: str):
             .to_arrow().cast(_PART))
 
     c = (bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                      ["g", "d"], "n", "n", engine="exchange")
+                      ["g", "d"], "n", "n")
          .to_pandas())
     g = (c.groupby("g")
          .agg(nd=("n", "size"), s=("n", "sum"),

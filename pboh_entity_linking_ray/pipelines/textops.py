@@ -405,7 +405,7 @@ def q12_ngram_jaccard_pairs(sf_dir: str):
     per hash bucket, triu batched by group size) → bucketed pair-count
     aggregate → fixed-point Jaccard.  The per-doc set size rides on every
     row so no second join is needed."""
-    from ..functions.grouping import bucketed_groups, bucketed_sum
+    from ..functions.grouping import bucketed_sum, hash_exchange
 
     k = JAC_SHINGLE_K
 
@@ -468,9 +468,8 @@ def q12_ngram_jaccard_pairs(sf_dir: str):
                          "nb": pa.array(ns[bi][inv]),
                          "inter_p": pa.array(cnt.astype(np.int64))})
 
-    shared = bucketed_groups(rows, "sh", pairs_bucket, engine="exchange")
-    agg = bucketed_sum(shared, ["pair", "na", "nb"], "inter_p", "inter",
-                       engine="exchange")
+    shared = hash_exchange(rows, "sh", pairs_bucket)
+    agg = bucketed_sum(shared, ["pair", "na", "nb"], "inter_p", "inter")
 
     def finish(t: pa.Table) -> pa.Table:
         pair = np.asarray(t["pair"], dtype=np.int64)
@@ -573,11 +572,11 @@ def q20_frequent_pairs(sf_dir: str):
     """Token pairs co-occurring (distinct, within-doc) in >= FREQ_PAIR_MIN
     documents — groupby(pair).count().filter(), the no-parameter-server
     recast of the reference's memcached-assisted frequent-pair miner."""
-    from ..functions.grouping import bucketed_groups, bucketed_sum
+    from ..functions.grouping import bucketed_sum, hash_exchange
 
     rows = _docs(sf_dir).map_batches(_explode_distinct_toks,
                                      batch_format="pyarrow", batch_size=512)
-    shared = bucketed_groups(rows, "doc_id", _pairs_bucket)
+    shared = hash_exchange(rows, "doc_id", _pairs_bucket)
     agg = bucketed_sum(shared, ["tok_a", "tok_b"], "n_p", "n_docs")
     return agg.filter(expr=f"n_docs >= {FREQ_PAIR_MIN}")
 
@@ -632,13 +631,12 @@ def q149_association_rules(sf_dir: str):
     lift term would move to the q140 mirrored-DOUBLE tree)."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups, bucketed_sum
+    from ..functions.grouping import bucketed_sum, hash_exchange
 
     rows = _docs(sf_dir).map_batches(_explode_distinct_toks,
                                      batch_format="pyarrow", batch_size=512)
-    shared = bucketed_groups(rows, "doc_id", _rules_bucket)
-    sums = bucketed_sum(shared, ["tok_a", "tok_b"], "n_p", "c",
-                        engine="exchange").materialize()
+    shared = hash_exchange(rows, "doc_id", _rules_bucket)
+    sums = bucketed_sum(shared, ["tok_a", "tok_b"], "n_p", "c").materialize()
 
     def _marginals(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -759,7 +757,7 @@ def q96_pmi_pairs(sf_dir: str):
     Reference analog: the same frequent-pair statistics the learning
     loop mines (learning/Learning.scala:116-177) re-ranked by the
     association measure instead of raw support."""
-    from ..functions.grouping import bucketed_groups, bucketed_sum, hash_join
+    from ..functions.grouping import bucketed_sum, hash_exchange, hash_join
 
     n_total = read_parquet_clean(f"{sf_dir}/documents.parquet",
                                     columns=["doc_id"]).count()
@@ -770,7 +768,7 @@ def q96_pmi_pairs(sf_dir: str):
 
     # materialized: hash_join's schema fetch would execute the lazy
     # mining chain once and the join a second time (q75/q82 trap)
-    shared = bucketed_groups(rows, "doc_id", _pairs_bucket)
+    shared = hash_exchange(rows, "doc_id", _pairs_bucket)
     pairs = bucketed_sum(shared, ["tok_a", "tok_b"], "n_p", "n_p") \
         .filter(expr=f"n_p >= {FREQ_PAIR_MIN}").materialize()
 
@@ -981,8 +979,7 @@ def q98_source_shift(sf_dir: str):
     parts = hash_exchange(cnts, "tok", tok_bucket, num_buckets=64)
     per_src = bucketed_sum_multi(
         parts, ["source"],
-        {"s_part": "s_scaled", "n_part": "n_s", "t_part": "n_tok"},
-        engine="exchange")
+        {"s_part": "s_scaled", "n_part": "n_s", "t_part": "n_tok"})
 
     pdf = per_src.to_pandas()          # O(sources) rows — tiny by design
     ns = pdf["n_s"].to_numpy().astype(np.int64)
@@ -1136,7 +1133,7 @@ def q44_tfidf_pairs(sf_dir: str):
     (doc_id, term string, tf) rows once; stop-df caps any term's pair
     fan-out at STOP_DF²/2; per-bucket work is vectorized numpy over
     group-size batches."""
-    from ..functions.grouping import bucketed_groups, bucketed_sum
+    from ..functions.grouping import bucketed_sum, hash_exchange
 
     k = JAC_SHINGLE_K
 
@@ -1197,9 +1194,8 @@ def q44_tfidf_pairs(sf_dir: str):
         return pa.table({"pair": pa.array(upair),
                          "wdot_p": pa.array(wdot)})
 
-    shared = bucketed_groups(rows, "tok", pairs_bucket, engine="exchange")
-    agg = bucketed_sum(shared, ["pair"], "wdot_p", "wdot",
-                       engine="exchange")
+    shared = hash_exchange(rows, "tok", pairs_bucket)
+    agg = bucketed_sum(shared, ["pair"], "wdot_p", "wdot")
 
     def unpack(t: pa.Table) -> pa.Table:
         pair = np.asarray(t["pair"], dtype=np.int64)
@@ -1319,8 +1315,7 @@ def q49_chunk_dedup(sf_dir: str):
 
     chunks = q46_chunk_documents(sf_dir)
     return dedup_keep_first(chunks, "chunk",
-                            order_cols=["doc_id", "chunk_id"],
-                            engine="exchange")
+                            order_cols=["doc_id", "chunk_id"])
 
 
 SQL_Q49 = f"""
@@ -1496,8 +1491,7 @@ def q154_dedup_savings(sf_dir: str):
                      dup_chars=pl.col("dup_chars").sum())
                 .to_arrow().cast(_OUT))
 
-    return hash_exchange(per_cluster, "cluster_size", sum_sizes,
-                         num_buckets=2)
+    return hash_exchange(per_cluster, "cluster_size", sum_sizes, num_buckets=2)
 
 
 SQL_Q154 = _SQL_NEARDUP_CC_CTE + """
@@ -1654,7 +1648,7 @@ def q71_shared_span_pairs(sf_dir: str):
     import polars as pl
     from ray.data.aggregate import Sum
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
     from ..functions.hashing import pack_pairs_np
     from .relational import _t
 
@@ -1699,7 +1693,7 @@ def q71_shared_span_pairs(sf_dir: str):
 
     sh = (_t(sf_dir, "documents", ["doc_id", "text"])
           .map_batches(spans, batch_format="pyarrow", batch_size=256))
-    counts = (bucketed_groups(sh, "h", bucket_pairs)
+    counts = (hash_exchange(sh, "h", bucket_pairs)
               .groupby("pk").aggregate(Sum("n_partial", alias_name="n")))
 
     def unpack(t: pa.Table) -> pa.Table:
@@ -1753,7 +1747,7 @@ def q114_source_contamination(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
     from .relational import _t
 
     def spans(t: pa.Table) -> pa.Table:
@@ -1809,7 +1803,7 @@ def q114_source_contamination(sf_dir: str):
 
     sh = (_t(sf_dir, "documents", ["doc_id", "text", "source"])
           .map_batches(spans, batch_format="pyarrow", batch_size=256))
-    return (bucketed_groups(sh, "h", bucket_matrix)
+    return (hash_exchange(sh, "h", bucket_matrix)
             .groupby(["src_a", "src_b"])
             .aggregate(Sum("n_partial", alias_name="n_cooc")))
 
@@ -1976,7 +1970,8 @@ def q125_cluster_metrics(sf_dir: str):
     hash_join (the q73 device)."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups, bucketed_sum_multi, hash_join
+    from ..functions.grouping import (bucketed_sum_multi, hash_exchange,
+                                      hash_join)
     from .relational import _t
 
     docs = _t(sf_dir, "documents", ["doc_id", "text"])
@@ -2008,10 +2003,9 @@ def q125_cluster_metrics(sf_dir: str):
             pl.col("doc_id").cast(pl.Int64).min().over("s").alias("g"))
         return df.to_arrow().cast(gold_empty.schema)
 
-    gold = bucketed_groups(
+    gold = hash_exchange(
         docs.map_batches(set_key, batch_format="pyarrow"),
-        "s", gold_bucket, num_buckets=32,
-        engine="exchange").materialize()
+        "s", gold_bucket, num_buckets=32).materialize()
     labels = q58_neardup_clusters(sf_dir).map_batches(
         lambda t: pa.table({"doc_id": t["doc_id"], "cl": t["cluster_id"]}),
         batch_format="pyarrow").materialize()
@@ -2033,7 +2027,7 @@ def q125_cluster_metrics(sf_dir: str):
 
     cells_ds = bucketed_sum_multi(
         both.map_batches(cell_partial, batch_format="pyarrow"),
-        ["c", "g"], {"n_p": "n"}, num_buckets=16, engine="exchange")
+        ["c", "g"], {"n_p": "n"}, num_buckets=16)
 
     return bcubed_ari_report(cells_ds)
 
@@ -2557,7 +2551,7 @@ def q115_jaro_winkler_pairs(sf_dir: str):
     makes web-scale name corpora (Zipfian name frequencies) tractable."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
     from ..functions.similarity import jaro_winkler_batch
     from .relational import _t
 
@@ -2612,7 +2606,7 @@ def q115_jaro_winkler_pairs(sf_dir: str):
                                            type=pa.int64())})
 
     parts = _t(sf_dir, "part", ["p_partkey", "p_name", "p_brand"])
-    return bucketed_groups(parts, "p_brand", block_pairs, num_buckets=32)
+    return hash_exchange(parts, "p_brand", block_pairs, num_buckets=32)
 
 
 SQL_Q115 = f"""
@@ -2690,7 +2684,7 @@ def q124_ppjoin(sf_dir: str, bitset_vocab_max: int = PP_BITSET_VOCAB_MAX):
     import polars as pl
     import ray
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     # pass 1: exact global token df (per-doc-distinct), driver O(vocab)
     def df_part(t: pa.Table) -> pa.Table:
@@ -2880,8 +2874,7 @@ def q124_ppjoin(sf_dir: str, bitset_vocab_max: int = PP_BITSET_VOCAB_MAX):
     emissions = _docs(sf_dir).map_batches(
         emit_prefix, fn_kwargs={"vocab_ref": vocab_ref},
         batch_format="pyarrow", batch_size=1024)
-    return bucketed_groups(emissions, "rk", bucket_pairs, num_buckets=32,
-                           engine="exchange")
+    return hash_exchange(emissions, "rk", bucket_pairs, num_buckets=32)
 
 
 SQL_Q124 = f"""
@@ -2927,7 +2920,7 @@ def q133_prefix_containment(sf_dir: str):
     downstream keep-longest policy is a pure filter."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     empty = pa.table({"a": pa.array([], type=pa.int64()),
                       "b": pa.array([], type=pa.int64()),
@@ -2974,8 +2967,7 @@ def q133_prefix_containment(sf_dir: str):
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                                  columns=["doc_id", "text"])
     keyed = docs.map_batches(prep, batch_format="pyarrow")
-    return bucketed_groups(keyed, "pfx", contain_pairs,
-                           num_buckets=16, engine="exchange")
+    return hash_exchange(keyed, "pfx", contain_pairs, num_buckets=16)
 
 
 SQL_Q133 = f"""
@@ -3013,7 +3005,7 @@ def q135_bigram_lm(sf_dir: str):
     The wire carries O(distinct bigrams) skinny rows, never tokens."""
     import polars as pl
 
-    from ..functions.grouping import bucketed_groups, bucketed_sum
+    from ..functions.grouping import bucketed_sum, hash_exchange
 
     pair_schema = pa.schema([("w1", pa.string()), ("w2", pa.string()),
                              ("c_p", pa.int64())])
@@ -3062,9 +3054,8 @@ def q135_bigram_lm(sf_dir: str):
                                  columns=["text"])
     partial = docs.map_batches(bigram_partial, batch_format="pyarrow")
     counts = bucketed_sum(partial, ["w1", "w2"], "c_p", "c12",
-                          num_buckets=16, engine="exchange")
-    return bucketed_groups(counts, "w1", history_stats,
-                           num_buckets=8, engine="exchange")
+                          num_buckets=16)
+    return hash_exchange(counts, "w1", history_stats, num_buckets=8)
 
 
 SQL_Q135 = f"""

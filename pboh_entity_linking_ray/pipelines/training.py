@@ -250,8 +250,7 @@ def q86_user_trend(sf_dir: str):
     sums = bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"),
         ["user_id"],
-        {"n": "n", "sx": "sx", "sy": "sy", "sxy": "sxy", "sxx": "sxx"},
-        engine="exchange")
+        {"n": "n", "sx": "sx", "sy": "sy", "sxy": "sxy", "sxx": "sxx"})
 
     def finish(t: pa.Table) -> pa.Table:
         n = np.asarray(t["n"], dtype=np.int64)
@@ -454,8 +453,7 @@ def q157_benford_audit(sf_dir: str):
         })
 
     sums = bucketed_sum(orders.map_batches(partial, batch_format="pyarrow"),
-                        ["digit"], "n", "n", num_buckets=4,
-                        engine="exchange")
+                        ["digit"], "n", "n", num_buckets=4)
     # ≤9 rows reach the driver: the fold needs N = Σn across ALL digits
     rows = sums.to_pandas()
     digit = rows["digit"].to_numpy(dtype=np.int64)
@@ -529,7 +527,7 @@ def _pc_value_counts(sf_dir: str) -> ray.data.Dataset:
 
     return bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"), ["v"],
-        {"n1": "n1", "n2": "n2"}, engine="exchange")
+        {"n1": "n1", "n2": "n2"})
 
 
 # --- q158: Mann-Whitney U rank test -------------------------------------
@@ -765,7 +763,7 @@ def q160_spearman(sf_dir: str):
 
         distinct = bucketed_sum(
             rows.map_batches(counts, batch_format="pyarrow"),
-            [col], "m", "m", engine="exchange")
+            [col], "m", "m")
         run = range_prefix_sum(distinct, col, "m", out_name="cb")
 
         def ranks(t: pa.Table) -> pa.Table:
@@ -919,10 +917,9 @@ def q161_kruskal_wallis(sf_dir: str):
     # the small distinct table (O(distinct cents × types)) so the events
     # scan runs once
     long = bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                        ["v", "g"], "m", "m",
-                        engine="exchange").materialize()
+                        ["v", "g"], "m", "m").materialize()
 
-    vtab = bucketed_sum(long, ["v"], "m", "n_v", engine="exchange")
+    vtab = bucketed_sum(long, ["v"], "m", "n_v")
     run = range_prefix_sum(vtab, "v", "n_v", out_name="cb").materialize()
 
     _T = pa.schema([("tsum", pa.int64())])
@@ -955,8 +952,8 @@ def q161_kruskal_wallis(sf_dir: str):
 
     groups = bucketed_sum_multi(
         joined.map_batches(per_group, batch_format="pyarrow"), ["g"],
-        {"n_i": "n_i", "r_x2": "r_x2"}, num_buckets=4,
-        engine="exchange").to_pandas().sort_values("g")
+        {"n_i": "n_i", "r_x2": "r_x2"},
+        num_buckets=4).to_pandas().sort_values("g")
 
     n_i = groups["n_i"].to_numpy(dtype=np.int64)
     r_x2 = groups["r_x2"].to_numpy(dtype=np.int64)
@@ -1064,8 +1061,7 @@ def q162_wilcoxon(sf_dir: str):
 
     users = bucketed_sum_multi(
         ev.map_batches(per_user_partial, batch_format="pyarrow"),
-        ["user_id"], {"s1": "s1", "c1": "c1", "s2": "s2", "c2": "c2"},
-        engine="exchange")
+        ["user_id"], {"s1": "s1", "c1": "c1", "s2": "s2", "c2": "c2"})
 
     _D = pa.schema([("absd", pa.int64()), ("m", pa.int64()),
                     ("mpos", pa.int64())])
@@ -1086,7 +1082,7 @@ def q162_wilcoxon(sf_dir: str):
 
     distinct = bucketed_sum_multi(
         users.map_batches(diff_partial, batch_format="pyarrow"),
-        ["absd"], {"m": "m", "mpos": "mpos"}, engine="exchange")
+        ["absd"], {"m": "m", "mpos": "mpos"})
 
     run = range_prefix_sum(distinct, "absd", "m", out_name="cb")
 
@@ -1187,8 +1183,7 @@ def q163_chi_square(sf_dir: str):
                 .to_arrow().cast(_PART))
 
     cells = bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                         ["g", "dow"], "n", "n",
-                         engine="exchange").to_pandas()
+                         ["g", "dow"], "n", "n").to_pandas()
     cells = cells.sort_values(["g", "dow"]).reset_index(drop=True)
     n = cells["n"].to_numpy(dtype=np.int64)
     rt = cells.groupby("g")["n"].transform("sum").to_numpy(dtype=np.int64)
@@ -1272,8 +1267,8 @@ def q164_anova_f(sf_dir: str):
 
     groups = bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"), ["g"],
-        {"n_i": "n_i", "s_i": "s_i", "ss_i": "ss_i"}, num_buckets=4,
-        engine="exchange").to_pandas().sort_values("g")
+        {"n_i": "n_i", "s_i": "s_i", "ss_i": "ss_i"},
+        num_buckets=4).to_pandas().sort_values("g")
 
     n_i = groups["n_i"].to_numpy(dtype=np.int64)
     s_i = groups["s_i"].to_numpy(dtype=np.int64)
@@ -1382,8 +1377,7 @@ def q166_replica_stability(sf_dir: str):
 
     rows = bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"), ["b"],
-        {"n": "n", "s": "s"}, num_buckets=4,
-        engine="exchange").to_pandas()
+        {"n": "n", "s": "s"}, num_buckets=4).to_pandas()
     full = rows[rows["b"] == -1].iloc[0]
     reps = rows[rows["b"] >= 0]
     mc = np.floor(reps["s"].to_numpy(dtype=np.float64)
@@ -1483,8 +1477,8 @@ def q168_sprt(sf_dir: str):
 
     days = bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"), ["day"],
-        {"na_d": "na_d", "nb_d": "nb_d"}, num_buckets=2,
-        engine="exchange").to_pandas().sort_values("day")
+        {"na_d": "na_d", "nb_d": "nb_d"},
+        num_buckets=2).to_pandas().sort_values("day")
 
     na = days["na_d"].to_numpy(dtype=np.int64).cumsum()
     nb = days["nb_d"].to_numpy(dtype=np.int64).cumsum()
@@ -1567,7 +1561,7 @@ def q169_trimmed_mean(sf_dir: str):
                 .agg(c=pl.len().cast(pl.Int64)).to_arrow().cast(_V))
 
     dist = bucketed_sum(orders.map_batches(vpart, batch_format="pyarrow"),
-                        ["v"], "c", "c", engine="exchange").materialize()
+                        ["v"], "c", "c").materialize()
 
     _T = pa.schema([("n", pa.int64())])
 
@@ -1720,8 +1714,7 @@ def q172_mcnemar(sf_dir: str):
 
     users = bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"), ["user_id"],
-        {"np_p": "np_p", "nc_p": "nc_p"}, num_buckets=8,
-        engine="exchange")
+        {"np_p": "np_p", "nc_p": "nc_p"}, num_buckets=8)
 
     _C = pa.schema([("n00", pa.int64()), ("n01", pa.int64()),
                     ("n10", pa.int64()), ("n11", pa.int64())])
@@ -1847,7 +1840,7 @@ def q185_service_level(sf_dir: str):
     s = bucketed_sum_multi(
         joined.map_batches(cells, batch_format="pyarrow"), ["prio"],
         {"n_p": "n", "w3": "w3", "w7": "w7", "w14": "w14"},
-        num_buckets=2, engine="exchange").to_pandas().sort_values("prio")
+        num_buckets=2).to_pandas().sort_values("prio")
     return pa.table({
         "o_orderpriority": pa.array(s["prio"], type=pa.string()),
         "n_orders": pa.array(s["n"].to_numpy(np.int64)),
@@ -1932,8 +1925,7 @@ def q189_ratio_metric(sf_dir: str):
 
     ud = bucketed_sum_multi(
         ev.map_batches(ud_part, batch_format="pyarrow"),
-        ["user_id", "d"], {"x_p": "x"}, num_buckets=8,
-        engine="exchange")
+        ["user_id", "d"], {"x_p": "x"}, num_buckets=8)
 
     _S = pa.schema([("arm", pa.int64()), ("n", pa.int64()),
                     ("sx", pa.int64()), ("sy", pa.int64()),
@@ -2520,8 +2512,7 @@ def q180_proportion_ci(sf_dir: str):
 
     users = bucketed_sum_multi(
         ev.map_batches(partial, batch_format="pyarrow"), ["user_id"],
-        {"np_p": "np_p", "nc_p": "nc_p"}, num_buckets=8,
-        engine="exchange")
+        {"np_p": "np_p", "nc_p": "nc_p"}, num_buckets=8)
 
     _C = pa.schema([("arm", pa.int64()), ("n", pa.int64()),
                     ("k", pa.int64())])
@@ -2648,7 +2639,7 @@ def q182_powerlaw(sf_dir: str):
                 .to_arrow().cast(_U))
 
     users = bucketed_sum(ev.map_batches(upart, batch_format="pyarrow"),
-                         ["user_id"], "c_p", "c", engine="exchange")
+                         ["user_id"], "c_p", "c")
 
     _H = pa.schema([("c", pa.int64()), ("f_p", pa.int64())])
 
@@ -2660,7 +2651,7 @@ def q182_powerlaw(sf_dir: str):
 
     hist = (bucketed_sum(users.map_batches(hpart,
                                            batch_format="pyarrow"),
-                         ["c"], "f_p", "f", engine="exchange")
+                         ["c"], "f_p", "f")
             .to_pandas().sort_values("c"))
     n_users = np.int64(hist["f"].sum())
     k = np.int64(len(hist))
@@ -2740,7 +2731,7 @@ def q183_group_mode(sf_dir: str):
             .to_arrow().cast(_PART))
 
     counts = bucketed_sum(ev.map_batches(partial, batch_format="pyarrow"),
-                          ["g", "v"], "n_p", "n", engine="exchange")
+                          ["g", "v"], "n_p", "n")
 
     _OUT = pa.schema([("event_type", pa.string()),
                       ("mode_cents", pa.int64()), ("n_mode", pa.int64())])

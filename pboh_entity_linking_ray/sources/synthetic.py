@@ -249,32 +249,29 @@ def corpus_dir(root: str, n_convs: int, seed: int = 42) -> str:
 
 def ensure_corpus(root: str, n_convs: int, seed: int = 42) -> str:
     """Write turns/labels/golden_clusters parquet under root (idempotent,
-    atomic via tmp-dir rename) and return the directory."""
+    atomic via a private tmp dir + rename) and return the directory."""
+    from ..state.checkpoint import private_build
+
     d = corpus_dir(root, n_convs, seed)
     done = os.path.join(d, "_COMPLETE")
     if os.path.exists(done):
         return d
     corpus = generate_corpus(n_convs, seed)
-    tmp = d + ".tmp"
-    os.makedirs(tmp, exist_ok=True)
-    tdir = os.path.join(tmp, "turns.parquet")
-    os.makedirs(tdir, exist_ok=True)
-    n_rows = corpus.turns.num_rows
-    step = max(1, -(-n_rows // TURN_SHARDS))
-    for i in range(0, TURN_SHARDS):
-        part = corpus.turns.slice(i * step, step)
-        if part.num_rows == 0:
-            break
-        pq.write_table(part, os.path.join(tdir, f"part-{i:02d}.parquet"))
-    pq.write_table(corpus.labels, os.path.join(tmp, "labels.parquet"))
-    pq.write_table(corpus.golden_clusters, os.path.join(tmp, "golden_clusters.parquet"))
-    with open(os.path.join(tmp, "_COMPLETE"), "w") as f:
-        f.write("ok")
-    os.makedirs(os.path.dirname(d) or ".", exist_ok=True)
-    if os.path.exists(d):
-        import shutil
-        shutil.rmtree(d)
-    os.replace(tmp, d)
+    with private_build(d, lambda: os.path.exists(done)) as tmp:
+        tdir = os.path.join(tmp, "turns.parquet")
+        os.makedirs(tdir)
+        n_rows = corpus.turns.num_rows
+        step = max(1, -(-n_rows // TURN_SHARDS))
+        for i in range(0, TURN_SHARDS):
+            part = corpus.turns.slice(i * step, step)
+            if part.num_rows == 0:
+                break
+            pq.write_table(part, os.path.join(tdir, f"part-{i:02d}.parquet"))
+        pq.write_table(corpus.labels, os.path.join(tmp, "labels.parquet"))
+        pq.write_table(corpus.golden_clusters,
+                       os.path.join(tmp, "golden_clusters.parquet"))
+        with open(os.path.join(tmp, "_COMPLETE"), "w") as f:
+            f.write("ok")
     return d
 
 

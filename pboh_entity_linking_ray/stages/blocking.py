@@ -5,9 +5,9 @@ Sub-steps, each a named shuffle (SURVEY.md §7.3):
 1. ``add_block_keys``  — flat-emit one SKINNY row per (conversation ×
    block key): ``lsh_bands`` MinHash band keys plus one tool/role
    signature key.  Only (conv_id, mh0, own_key, block_key) are shuffled —
-   ~40 B/row; features are re-attached at scoring time from the broadcast
-   FeatureStore (stages/scoring.py), so the blocking exchange never moves
-   token sketches or text.
+   ~40 B/row; features are re-attached at scoring time by two
+   ``hash_join``s on the pair's conv ids (stages/scoring.py), so the
+   blocking exchange never moves token sketches or text.
 2. ``make_pairs``      — ONE hash-partition by key hash (an incremental
    run adds the probed base rows, flagged old); singleton pruning, size-batched vectorized pair emission, salting and capped
    accounting all run inside the receiving bucket (sizes are locally
@@ -79,7 +79,8 @@ def register_blocker(name: str, fn) -> None:
 
 
 class BlockKeyEmitter:
-    """features → one row per (conv, block_key); all feature cols duplicated."""
+    """features → one SKINNY row per (conv, block_key): conv_id, mh0,
+    own_key, block_key; no feature column rides along."""
 
     def __init__(self, cfg: PipelineConfig | None = None,
                  blocker_fns: list | None = None):
@@ -133,7 +134,8 @@ class BlockKeyEmitter:
         flat_keys = flat_keys.to_arrow().cast(pa.string())
         idx = np.tile(np.arange(n), n_keys)
         # skinny projection: only identity + the mh0 used for salted-chunk
-        # ordering cross the shuffle; features stay in the FeatureStore
+        # ordering cross the shuffle; features are re-attached by the
+        # scoring joins
         out = pa.table({
             "conv_id": batch["conv_id"].take(pa.array(idx)),
             "mh0": pa.array(sigs[:, 0].view(np.int64)[idx]),
@@ -361,7 +363,7 @@ def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
     silent drops, hence the exact capped_pairs accounting)."""
     cfg = cfg or PipelineConfig()
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     if old_blocked is not None:
         blocked = _tag_new(old_blocked, 0).union(_tag_new(blocked, 1))
@@ -380,8 +382,7 @@ def make_pairs(blocked: ray.data.Dataset, cfg: PipelineConfig | None = None,
                    .to_arrow().cast(bucket.schema))   # polars → large_string
         return _emit_pairs_bucket(ordered, cfg)
 
-    return bucketed_groups(blocked, "own_key", per_bucket, num_buckets,
-                           engine="exchange", repartition=False)
+    return hash_exchange(blocked, "own_key", per_bucket, num_buckets)
 
 
 # perfbench/tracing.py wraps the stage under this name as well
@@ -395,8 +396,7 @@ def dedup_pairs(pairs: ray.data.Dataset, num_buckets: int):
     pair keys (EntityCooccurrenceIndex.scala:103)."""
     from ..functions.grouping import dedup_keep_first
 
-    return dedup_keep_first(pairs, "pair_key", ["block_key"], num_buckets,
-                            engine="exchange")
+    return dedup_keep_first(pairs, "pair_key", ["block_key"], num_buckets)
 
 
 def capped_total(pairs_raw: ray.data.Dataset) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
-from ..functions.grouping import bucketed_groups
+from ..functions.grouping import hash_exchange
 
 TURN_SEP = "\n"
 
@@ -57,5 +57,4 @@ def canonicalize(turns: ray.data.Dataset, num_buckets: int) -> ray.data.Dataset:
     Column-prunes before the shuffle: ``ts`` never leaves the read.
     """
     pruned = turns.select_columns(["conv_id", "turn_idx", "role", "text", "tool"])
-    return bucketed_groups(pruned, "conv_id", _assemble, num_buckets,
-                           engine="exchange")
+    return hash_exchange(pruned, "conv_id", _assemble, num_buckets)

@@ -32,7 +32,8 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.grouping import bucketed_groups, dedup_keep_first
+from ..functions.grouping import dedup_keep_first, hash_exchange
+from ..state.checkpoint import private_build
 
 _EDGE_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
 _LABEL_SCHEMA = pa.schema([("conv_id", pa.string()), ("cluster_id", pa.string())])
@@ -177,37 +178,35 @@ def _local_cc(edges: pa.Table) -> pa.Table:
                      "cluster_id": pa.array(nodes[roots], type=pa.string())})
 
 
+def _rounds(root: str) -> dict[int, str]:
+    """Round checkpoint dirs (``round=<n>``) under ``root`` by round;
+    in-flight temp dirs beside them are not rounds."""
+    if not os.path.isdir(root):
+        return {}
+    return {int(d[6:]): os.path.join(root, d) for d in os.listdir(root)
+            if d.startswith("round=") and d[6:].isdigit()}
+
+
 def _latest_round_ckpt(root: str) -> tuple[int, str] | None:
     """Newest complete round checkpoint under ``root`` → (round, dir)."""
-    best = None
-    if not os.path.isdir(root):
-        return None
-    for d in os.listdir(root):
-        if d.startswith("round=") and os.path.exists(
-                os.path.join(root, d, "_complete.json")):
-            r = int(d.split("=", 1)[1])
-            if best is None or r > best[0]:
-                best = (r, os.path.join(root, d))
-    return best
+    done = [(r, d) for r, d in _rounds(root).items()
+            if os.path.exists(os.path.join(d, "_complete.json"))]
+    return max(done) if done else None
 
 
 def _write_round_ckpt(root: str, rnd: int, frontier: ray.data.Dataset) -> None:
-    """Atomically persist one round's edge frontier (tmp dir + rename +
-    marker written last), then drop older rounds — only the newest is
-    ever resumed from, so disk stays bounded at one frontier."""
+    """Atomically persist one round's edge frontier (private tmp dir +
+    rename, marker written last), then drop older rounds — only the
+    newest is ever resumed from, so disk stays bounded at one frontier."""
     out = os.path.join(root, f"round={rnd}")
-    tmp = out + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    frontier.write_parquet(tmp)
-    with open(os.path.join(tmp, "_complete.json"), "w") as f:
-        json.dump({"round": rnd}, f)
-    if os.path.exists(out):
-        shutil.rmtree(out)
-    os.replace(tmp, out)
-    for d in os.listdir(root):
-        if d.startswith("round=") and d != f"round={rnd}":
-            shutil.rmtree(os.path.join(root, d), ignore_errors=True)
+    marker = os.path.join(out, "_complete.json")
+    with private_build(out, lambda: os.path.exists(marker)) as tmp:
+        frontier.write_parquet(tmp)
+        with open(os.path.join(tmp, "_complete.json"), "w") as f:
+            json.dump({"round": rnd}, f)
+    for r, d in _rounds(root).items():
+        if r != rnd:
+            shutil.rmtree(d, ignore_errors=True)
 
 
 def connected_components(
@@ -254,10 +253,8 @@ def connected_components(
             return ray.data.from_arrow(_local_cc(_collect(cur, _EDGE_SCHEMA)))
         # no inter-round dedup needed: each star op dedups within its
         # bucket, and bucketing by u makes that a global dedup
-        ls = bucketed_groups(_doubled(cur), "u", _large_star, num_buckets,
-                             repartition=False)
-        ss = bucketed_groups(_doubled(ls), "u", _small_star, num_buckets,
-                             repartition=False)
+        ls = hash_exchange(_doubled(cur), "u", _large_star, num_buckets)
+        ss = hash_exchange(_doubled(ls), "u", _small_star, num_buckets)
         cur = _pin(ss)
         if (iter_checkpoint_root and checkpoint_every > 0
                 and (rnd + 1) % checkpoint_every == 0):
@@ -288,7 +285,7 @@ def connected_components(
         )
         return out.to_arrow().cast(_LABEL_SCHEMA)
 
-    return bucketed_groups(_doubled(cur), "u", label, num_buckets)
+    return hash_exchange(_doubled(cur), "u", label, num_buckets)
 
 
 def cluster_matches(
@@ -320,8 +317,8 @@ def cluster_matches(
         )
         return out.to_arrow().cast(_LABEL_SCHEMA)
 
-    return bucketed_groups(labeled.union(self_rows), "conv_id", pick_min,
-                           num_buckets)
+    return hash_exchange(labeled.union(self_rows), "conv_id", pick_min,
+                         num_buckets)
 
 
 class Reclustered(NamedTuple):

@@ -251,7 +251,7 @@ def build_stem_map(conv_docs, cfg: PipelineConfig | None = None, *,
     cluster-wide (the WordFreqDict-style dictionary build,
     reference: index/WordFreqDict.scala:8-47): distinct per batch →
     bucketed global distinct → parallel stem map."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     def partial(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -272,8 +272,7 @@ def build_stem_map(conv_docs, cfg: PipelineConfig | None = None, *,
 
     ds = conv_docs.map_batches(partial, batch_format="pyarrow",
                                batch_size=1024)
-    return bucketed_groups(ds, "tok", uniq_and_stem, num_buckets,
-                           engine="exchange")
+    return hash_exchange(ds, "tok", uniq_and_stem, num_buckets)
 
 
 def featurize(conv_docs, cfg: PipelineConfig | None = None, stem_ref=None):

@@ -189,21 +189,19 @@ def attach_features(pairs: ray.data.Dataset, features: ray.data.Dataset,
 
 
 def _attach(pairs: ray.data.Dataset, features: ray.data.Dataset,
-            num_buckets: int, post=None,
-            skew_defense: bool = False,
-            hot_frac: float = 0.01) -> ray.data.Dataset:
+            num_buckets: int, post=None) -> ray.data.Dataset:
     """Shared body of ``attach_features`` (post=None) and
     ``attach_and_score`` (post=the fused scorer).
 
-    ``skew_defense`` samples each join's LEFT key histogram
-    (``detect_hot_keys``) and salts exactly the detected hot conv ids
-    (``skew_join``): a conversation appearing in a disproportionate
-    share of pairs — one templated transcript blocking against
-    everything — would otherwise pin its whole pair set on a single
-    bucket task.  Output is identical either way (skew_join contract);
-    the defense costs one sampled scan per join over already-
-    materialized input.  A pair set of zero-column empty blocks (Ray's
-    output for an all-empty map) passes through as the empty result."""
+    Both joins are ``adaptive_skew_join``s: each samples its LEFT key
+    histogram and salts exactly the detected hot conv ids
+    (``skew_join``), since a conversation appearing in a
+    disproportionate share of pairs — one templated transcript blocking
+    against everything — would otherwise pin its whole pair set on a
+    single bucket task.  Output is identical either way (skew_join
+    contract); the defense costs one sampled scan of the key column per
+    join.  A pair set of zero-column empty blocks (Ray's output for an
+    all-empty map) passes through as the empty result."""
     if pairs.schema() is None:
         return pairs
     feats = features.select_columns(["conv_id", "jw_text", "tokens"]) \
@@ -216,26 +214,14 @@ def _attach(pairs: ray.data.Dataset, features: ray.data.Dataset,
     # exchanges and let the scorer re-emit it (~35 B/row × 2 joins saved)
     skinny = pairs.select_columns(
         [c for c in pairs.schema().names if c != "pair_key"])
-    from ..functions.grouping import detect_hot_keys, hash_join, skew_join
-
-    def joined(left, right, on, post=None):
-        if skew_defense:
-            # detect over the PROJECTED key column: the left side may
-            # carry wide feature payloads (second join) that the
-            # sampled histogram scan has no reason to ship
-            hot = detect_hot_keys(left.select_columns([on]), on,
-                                  hot_frac=hot_frac,
-                                  num_buckets=num_buckets)
-            if hot:
-                return skew_join(left, right, on, hot, num_buckets,
-                                 post=post)
-        return hash_join(left, right, on, num_buckets, post=post)
+    from ..functions.grouping import adaptive_skew_join
 
     # barrier between the exchanges: the second join's map side starts
     # from resolved blocks instead of dragging the first exchange's task
     # graph along (measured 29 s chained-lazy vs 18 s with the barrier)
-    with_a = joined(skinny, fa, "conv_a").materialize()
-    return joined(with_a, fb, "conv_b", post=post)
+    with_a = adaptive_skew_join(skinny, fa, "conv_a", num_buckets) \
+        .materialize()
+    return adaptive_skew_join(with_a, fb, "conv_b", num_buckets, post=post)
 
 
 _FEATURE_COLS = ("jw_a", "jw_b", "tokens_a", "tokens_b")
@@ -562,9 +548,7 @@ def attach_and_score(pairs: ray.data.Dataset, features: ray.data.Dataset,
     def score_bucket(joined: pa.Table) -> pa.Table:
         return _scorer_for(scorer_cls, stats_ref, cfg)(joined)
 
-    return _attach(pairs, features, num_buckets, post=score_bucket,
-                   skew_defense=cfg.attach_skew_defense,
-                   hot_frac=cfg.attach_hot_frac)
+    return _attach(pairs, features, num_buckets, post=score_bucket)
 
 
 # registers SCORERS["lbp"] (sum-product loopy BP, stages/lbp.py) — import

@@ -223,7 +223,7 @@ def build_token_stats(features: ray.data.Dataset,
     )
     return bucketed_sum_multi(partial, ["token_hash"],
                               {"df_partial": "df", "occ_partial": "occ"},
-                              num_buckets, engine="exchange")
+                              num_buckets)
 
 
 def _pair_stats_packed_partial(batch: pa.Table, cap: int,
@@ -263,7 +263,7 @@ def build_pair_stats(features: ray.data.Dataset,
     INSIDE the aggregating bucket — the flagship passes its broadcast
     floor (cooc_min_count) so global singletons (~half the key space at
     bench scale) never leave the shuffle task."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     cfg = cfg or PipelineConfig()
     cap, window = COOC_TOKEN_CAP, cfg.ctx_window
@@ -294,7 +294,7 @@ def build_pair_stats(features: ray.data.Dataset,
     p = features.map_batches(partial, batch_format="pyarrow", batch_size=4096)
     # the partial map emits many well-sized blocks already — the extra
     # pre-groupby repartition exchange would only re-move ~1.5 GB
-    return bucketed_groups(p, "pair", agg, num_buckets, engine="exchange")
+    return hash_exchange(p, "pair", agg, num_buckets)
 
 
 def _mention_prior_partial(batch: pa.Table, sample_mod: int = 1) -> pa.Table:
@@ -365,9 +365,9 @@ def build_mention_prior(conv_docs: ray.data.Dataset, sample_mod: int = 1):
         )
         return out.to_arrow()
 
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
-    return bucketed_groups(agg, "mention", _with_total)
+    return hash_exchange(agg, "mention", _with_total)
 
 
 def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
@@ -379,7 +379,7 @@ def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
     concentration both run inside the bucket (the flagship path;
     build_mention_prior/build_entity_prior remain the standalone
     two-table operators)."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     def partial_fn(t: pa.Table) -> pa.Table:
         return _mention_prior_partial(t, sample_mod)
@@ -400,8 +400,7 @@ def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
         )
         return out.to_arrow()
 
-    return bucketed_groups(partial, "entity", conc, num_buckets,
-                           engine="exchange")
+    return hash_exchange(partial, "entity", conc, num_buckets)
 
 
 def build_entity_prior(mention_prior: ray.data.Dataset) -> ray.data.Dataset:
@@ -415,7 +414,7 @@ def build_entity_prior(mention_prior: ray.data.Dataset) -> ray.data.Dataset:
     dominant surface form is stronger linkage evidence than one smeared
     over many variants.  The scorer blends it into rho
     (prior_kappa + (1-prior_kappa)·conc)."""
-    from ..functions.grouping import bucketed_groups
+    from ..functions.grouping import hash_exchange
 
     def conc(bucket: pa.Table) -> pa.Table:
         import polars as pl
@@ -427,5 +426,5 @@ def build_entity_prior(mention_prior: ray.data.Dataset) -> ray.data.Dataset:
         )
         return out.to_arrow()
 
-    return bucketed_groups(
+    return hash_exchange(
         mention_prior.select_columns(["entity", "freq"]), "entity", conc)

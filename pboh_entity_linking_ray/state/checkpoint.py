@@ -18,15 +18,42 @@ reference's diagnostic histograms, eval/cweb/GlobalCountersCWEB.scala:102-134).
 from __future__ import annotations
 from pboh_entity_linking_ray.sources.reading import read_parquet_clean
 
+import contextlib
 import json
 import os
 import shutil
 import tempfile
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
 
 import pyarrow.parquet as pq
 import ray.data
+
+
+@contextlib.contextmanager
+def private_build(final: str,
+                  complete: Callable[[], bool] = lambda: False
+                  ) -> Iterator[str]:
+    """Yield a private temp dir beside ``final`` to build into, then
+    rename it into place: two writers never fill or delete each other's
+    in-flight build, and readers see all of ``final`` or none of it.
+    If the body raises, the temp dir is removed.  If ``complete()``
+    holds once the build is done (a complete output appeared
+    meanwhile), that output is kept and this build is dropped."""
+    parent = os.path.dirname(final) or "."
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(dir=parent, prefix=os.path.basename(final) + ".")
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if complete():
+        shutil.rmtree(tmp, ignore_errors=True)
+        return
+    if os.path.exists(final):
+        shutil.rmtree(final)
+    os.replace(tmp, final)
 
 
 class StageRunner:
@@ -71,17 +98,8 @@ class StageRunner:
         if self.is_complete(name):
             return self._read(out_dir)
 
-        # a private temp dir: two runners on one root never delete each
-        # other's in-flight write
-        tmp = tempfile.mkdtemp(dir=self.root, prefix=f"stage={name}.")
-        try:
+        with private_build(out_dir) as tmp:
             fn().write_parquet(tmp)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        if os.path.exists(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(tmp, out_dir)
 
         partitions = []
         total = 0

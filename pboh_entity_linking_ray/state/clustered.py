@@ -90,7 +90,7 @@ def _cut_points(ds: ray.data.Dataset, col: str, n_files: int) -> list:
                 .to_arrow())
 
     hist = bucketed_sum(ds.map_batches(counts, batch_format="pyarrow"),
-                        [col], "c", "c", engine="exchange").to_pandas()
+                        [col], "c", "c").to_pandas()
     hist = hist.sort_values(col).reset_index(drop=True)
     vals = hist[col].to_numpy()
     cum = hist["c"].cumsum().to_numpy()

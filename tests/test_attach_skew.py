@@ -56,29 +56,10 @@ def test_skew_defense_engages_and_matches_plain_plan(
         return orig(left, right, on, hot_keys, *a, **kw)
 
     monkeypatch.setattr(grouping, "skew_join", spy)
-    defended = _norm(scoring._attach(pairs_ds, feats, 16,
-                                     skew_defense=True, hot_frac=0.05))
-    plain = _norm(scoring._attach(pairs_ds, feats, 16,
-                                  skew_defense=False))
+    defended = _norm(scoring._attach(pairs_ds, feats, 16))
     # the planted conv is hot on BOTH sides' first join key (conv_a)
     assert calls and calls[0][0] == "conv_a" and hot in calls[0][1]
+    # the same two joins as plain hash joins
+    monkeypatch.setattr(grouping, "adaptive_skew_join", grouping.hash_join)
+    plain = _norm(scoring._attach(pairs_ds, feats, 16))
     pd.testing.assert_frame_equal(defended, plain)
-
-
-def test_attach_and_score_honors_config_flag(feats_and_skewed_pairs,
-                                             monkeypatch):
-    feats, pairs_ds, hot = feats_and_skewed_pairs
-    seen = []
-    monkeypatch.setattr(
-        grouping, "detect_hot_keys",
-        lambda *a, **kw: seen.append(1) or {})
-    cfg_on = PipelineConfig(scorer="stringsim")
-    cfg_off = PipelineConfig(scorer="stringsim",
-                             attach_skew_defense=False)
-    scoring.attach_and_score(pairs_ds, feats, ray.put(None),
-                             cfg_on, num_buckets=8).count()
-    n_on = len(seen)
-    scoring.attach_and_score(pairs_ds, feats, ray.put(None),
-                             cfg_off, num_buckets=8).count()
-    assert n_on == 2 and len(seen) == n_on   # detector ran per join, only
-                                             # when the flag is on

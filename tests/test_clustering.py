@@ -3,13 +3,24 @@
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from pboh_entity_linking_ray.stages.clustering import (
+    _LABEL_SCHEMA,
     cluster_matches,
     connected_components,
 )
 from pboh_entity_linking_ray.state.unionfind import cluster_edges
+
+
+def _labels(out) -> dict:
+    """conv_id → cluster_id of a label Dataset whose every block, the
+    empty buckets' included, carries the label schema."""
+    blocks = ray.get(out.to_arrow_refs())
+    assert blocks and all(b.schema == _LABEL_SCHEMA for b in blocks)
+    t = pa.concat_tables(blocks)
+    return dict(zip(t["conv_id"].to_pylist(), t["cluster_id"].to_pylist()))
 
 
 def _random_edges(rng, n_nodes, n_edges):
@@ -53,19 +64,27 @@ def test_cluster_matches_includes_singletons(ray_session):
     assert dict(zip(out["conv_id"], out["cluster_id"])) == {
         "a": "a", "b": "a", "c": "a", "d": "d", "e": "e",
     }
+    # no matches at 64 buckets: the edge dedup and pick_min run on
+    # (mostly) empty buckets and still return their schemas
+    none = rd.from_arrow(pa.table({"conv_a": pa.array([], pa.string()),
+                                   "conv_b": pa.array([], pa.string())}))
+    assert _labels(cluster_matches(none, universe, 64)) == {
+        c: c for c in "abcde"}
 
 
 def test_cc_distributed_rounds_match_local_finish(ray_session):
     """local_finish_rows=0 forces pure star-contraction rounds; the
-    result must equal the hybrid (local-finish) path and the oracle."""
+    result must equal the hybrid (local-finish) path and the oracle.
+    Three edges at 64 buckets leave most buckets empty, so the edge
+    dedup, both star steps and the labelling all see empty buckets."""
     rng = np.random.default_rng(31)
-    edges = _random_edges(rng, 100, 80)
-    ds = rd.from_arrow(pa.table({
-        "u": [a for a, _ in edges], "v": [b for _, b in edges],
-    }))
-    got = connected_components(ds, 8, local_finish_rows=0).to_pandas()
-    expect = cluster_edges(edges)
-    assert dict(zip(got["conv_id"], got["cluster_id"])) == dict(expect.items())
+    for edges, nb in ((_random_edges(rng, 100, 80), 8),
+                      ([("a", "b"), ("b", "c"), ("x", "y")], 64)):
+        ds = rd.from_arrow(pa.table({
+            "u": [a for a, _ in edges], "v": [b for _, b in edges],
+        }))
+        got = _labels(connected_components(ds, nb, local_finish_rows=0))
+        assert got == dict(cluster_edges(edges).items())
 
 
 def test_cc_iter_checkpoint_resume(ray_session, tmp_path):

@@ -12,7 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pboh_entity_linking_ray.functions.grouping import (adaptive_skew_join,
@@ -47,6 +47,7 @@ def _norm(ds) -> pd.DataFrame:
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lk=KEYS, rk=KEYS)
+@example(lk=[1, 2, 2, 3, 5], rk=[2, 3, 3, 4])    # duplicate keys, both sides
 def test_joins_agree_with_pandas(ray_session, how, lk, rk):
     ldf = pd.DataFrame({"k": np.array(lk, dtype="int64"),
                         "lv": np.arange(len(lk), dtype="int64")})

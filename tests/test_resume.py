@@ -76,17 +76,40 @@ def test_manifest_empty_token_counter(ray_session, tmp_path):
 
 
 def test_stage_write_leaves_other_tmp_dirs(ray_session, tmp_path):
-    """Each stage write goes to a private temp dir: a second runner's
-    in-flight ``stage=<name>.tmp`` on the same root survives it."""
+    """Each build-then-rename write (a checkpointed stage, the synthetic
+    corpus cache, a connected-components round checkpoint) goes to a
+    private temp dir: an in-flight ``<final>.tmp`` of another writer on
+    the same root neither lands in the output nor is deleted."""
     import pyarrow as pa
 
+    from pboh_entity_linking_ray.sources.synthetic import (corpus_dir,
+                                                           ensure_corpus)
+    from pboh_entity_linking_ray.stages.clustering import _write_round_ckpt
     from pboh_entity_linking_ray.state.checkpoint import StageRunner
 
+    def plant(final):
+        os.makedirs(final + ".tmp")
+        open(os.path.join(final + ".tmp", "sentinel"), "w").close()
+        return os.path.join(final + ".tmp", "sentinel")
+
     runner = StageRunner(str(tmp_path / "ckpt4"))
-    other = runner.stage_dir("rows") + ".tmp"
-    os.makedirs(other)
-    open(os.path.join(other, "sentinel"), "w").close()
+    sentinel = plant(runner.stage_dir("rows"))
     out = runner.run("rows", lambda: rd.from_arrow(pa.table({"a": [1, 2, 3]})))
     assert sorted(out.to_pandas()["a"]) == [1, 2, 3]
     assert runner.read_manifest("rows")["row_count"] == 3
-    assert os.path.exists(os.path.join(other, "sentinel"))
+    assert os.path.exists(sentinel)
+
+    root = str(tmp_path / "corpus")
+    sentinel = plant(corpus_dir(root, 20, 3))
+    d = ensure_corpus(root, 20, 3)
+    assert os.path.exists(sentinel)
+    assert sorted(os.listdir(d)) == ["_COMPLETE", "golden_clusters.parquet",
+                                     "labels.parquet", "turns.parquet"]
+
+    root = str(tmp_path / "cc")
+    sentinel = plant(os.path.join(root, "round=4"))
+    _write_round_ckpt(root, 4, rd.from_arrow(pa.table({"u": ["a"],
+                                                       "v": ["b"]})))
+    assert os.path.exists(sentinel)
+    files = os.listdir(os.path.join(root, "round=4"))
+    assert "_complete.json" in files and "sentinel" not in files
