@@ -22,6 +22,23 @@ def test_inner_join_matches_pandas(ray_session):
     pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
 
 
+def test_exchange_engine_join_matches_sort_engine_join(ray_session):
+    """The exchange join emits the frame the removed sort-based join did:
+    a pandas merge on duplicate keys both sides, with the same column
+    order (key, left columns, right columns) and dtypes."""
+    left = ray.data.from_arrow(pa.table({
+        "k": [1, 2, 2, 3, 5], "lv": ["a", "b", "c", "d", "e"]}))
+    right = ray.data.from_arrow(pa.table({
+        "k": [2, 3, 3, 4], "rv": [20, 30, 31, 40]}))
+    ex = (hash_join(left, right, "k").to_pandas()
+          .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
+    import pandas as pd
+
+    so = (left.to_pandas().merge(right.to_pandas(), on="k")
+          .sort_values(["k", "lv", "rv"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(ex, so)
+
+
 def test_join_carries_list_columns(ray_session):
     """Feature re-attachment ships Arrow list columns through the join."""
     left = ray.data.from_arrow(pa.table({"k": [1, 2, 3]}))
