@@ -47,12 +47,30 @@ def _split_table(tbl: pa.Table, key_col: str, num_buckets: int,
 
 @ray.remote
 def _exchange_split(tbl, key_col: str, num_buckets: int,
-                    inner: int = 1, stage: int = 0, n_out: int | None = None):
-    """Map side of the hash exchange (see ``_split_table``)."""
+                    inner: int = 1, stage: int = 0, n_out: int | None = None,
+                    prep=None):
+    """Map side of the hash exchange (see ``_split_table``).  ``prep``
+    (one input's per-block preparation, e.g. a join side's salt
+    sub-key) runs first on every block that carries columns."""
     if not isinstance(tbl, pa.Table):          # pandas block from upstream
         tbl = pa.Table.from_pandas(tbl, preserve_index=False)
+    if prep is not None and tbl.num_columns:
+        tbl = prep(tbl)
     out = _split_table(tbl, key_col, num_buckets, inner, stage, n_out)
     return out if len(out) > 1 else out[0]
+
+
+def _bucket_table(parts) -> pa.Table:
+    """One bucket's slices of one input as a single table.  Ray's map
+    operators can emit zero-COLUMN empty blocks (an empty output bundle
+    carries no schema), so an all-empty bucket is represented by its
+    widest slice, never blindly ``parts[0]``: sibling map tasks' slices
+    carry the real schema.  No slices at all (an input with no blocks)
+    gives the zero-column empty table."""
+    live = [p for p in parts if p.num_rows]
+    if live:
+        return pa.concat_tables(live, promote_options="permissive")
+    return max(parts, key=lambda p: p.num_columns) if parts else pa.table({})
 
 
 @ray.remote
@@ -61,38 +79,29 @@ def _exchange_concat(*parts: pa.Table) -> pa.Table:
     exchange: merge one outer bucket's slices from one map-task group
     into a single block (restores ~input-sized blocks so round 2's
     ref count is blocks/√B × B instead of blocks × B)."""
-    live = [p for p in parts if p.num_rows]
-    return (pa.concat_tables(live, promote_options="default") if live
-            else _widest(parts))
-
-
-def _widest(parts) -> pa.Table:
-    """Empty-bucket representative: the part with the most columns.
-    Ray's map operators can emit zero-COLUMN empty blocks (an empty
-    output bundle carries no schema); blindly taking ``parts[0]`` would
-    then hand ``fn`` a schema-less table even though sibling map tasks'
-    slices carry the real schema."""
-    return max(parts, key=lambda p: p.num_columns)
+    return _bucket_table(parts)
 
 
 @ray.remote
-def _exchange_apply(fn, *parts: pa.Table) -> pa.Table:
-    """Reduce side: concat one bucket's slices from every map task and
-    run the vectorized per-bucket ``fn``.
+def _exchange_apply(fn, counts: list[int], *parts: pa.Table) -> pa.Table:
+    """Reduce side: per input, concat one bucket's slices from every map
+    task (``counts`` slices each, in input order), and run the
+    vectorized per-bucket ``fn`` on one table per input.
 
     CONTRACT: ``fn`` may receive a fully-EMPTY table (sparse keys leave
     buckets with no rows) and must return the same output schema for
     empty and non-empty input."""
-    live = [p for p in parts if p.num_rows]
-    bucket = (pa.concat_tables(live, promote_options="default") if live
-              else _widest(parts))
-    if bucket.num_columns == 0:
+    tables, i = [], 0
+    for c in counts:
+        tables.append(_bucket_table(parts[i:i + c]))
+        i += c
+    if len(tables) == 1 and tables[0].num_columns == 0:
         # EVERY upstream block was a schema-less empty (a map over an
         # entirely-empty dataset emits 0-column blocks): there is no
         # schema to hand fn, so propagate the inert empty — consumers
         # treat 0-column 0-row blocks as no-ops
-        return bucket
-    return fn(bucket)
+        return tables[0]
+    return fn(*tables)
 
 
 @ray.remote
@@ -104,9 +113,7 @@ def _rekey_apply(fn, key2: str, num_buckets2: int, *parts: pa.Table):
     dataset blocks (saves a full write + read + re-split pass of the
     intermediate, which for wedge-sized intermediates is the dominant
     traffic)."""
-    live = [p for p in parts if p.num_rows]
-    bucket = (pa.concat_tables(live, promote_options="default") if live
-              else _widest(parts))
+    bucket = _bucket_table(parts)
     if bucket.num_columns == 0:
         # all-empty schema-less input: propagate inert empties
         return tuple(bucket for _ in range(num_buckets2))
@@ -131,18 +138,8 @@ def rekey_exchange(ds: ray.data.Dataset, key1: str, fn1, key2: str, fn2,
     traffic.  Driver ref count is O(blocks + B1·B2); same fn contract
     as ``hash_exchange`` (empty tolerance, stable schema), and all
     rows of one key2 land in one output bucket."""
-    refs = _stream_block_refs(ds)
-    split = _exchange_split.options(num_returns=num_buckets1)
-    cols: list[list] = [[] for _ in range(num_buckets1)]
-    empty = True
-    for ref in refs:
-        empty = False
-        outs = split.remote(ref, key1, num_buckets1)
-        if num_buckets1 == 1:
-            outs = [outs]
-        for i, r in enumerate(outs):
-            cols[i].append(r)
-    if empty:
+    cols, _ = _map_side(ds, key1, num_buckets1, False)
+    if not cols[0]:
         sch = ds.schema(fetch_if_missing=False)
         if sch is None or len(sch.base_schema) == 0:
             return ds
@@ -153,10 +150,8 @@ def rekey_exchange(ds: ray.data.Dataset, key1: str, fn1, key2: str, fn2,
            for i in range(num_buckets1)]
     if num_buckets2 == 1:
         mid = [[m] for m in mid]
-    out_refs = [_exchange_apply.remote(fn2, *[mid[i][j]
-                                              for i in range(num_buckets1)])
-                for j in range(num_buckets2)]
-    return ray.data.from_arrow_refs(out_refs)
+    return _reduce_side(fn2, [[[mid[i][j] for i in range(num_buckets1)]
+                               for j in range(num_buckets2)]])
 
 
 # above this many buckets the flat exchange's O(blocks × buckets) ref
@@ -204,11 +199,14 @@ def hash_exchange(ds: ray.data.Dataset, key_col: str, fn,
     locality-schedules against the largest input), exactly like a
     map-reduce shuffle fetch.
 
-    **Streaming intake**: input blocks are consumed through
-    ``iter_internal_ref_bundles`` — split tasks launch as upstream
-    operators emit blocks, overlapping the exchange's map side with
-    upstream compute instead of materializing the whole input first.
-    (The reduce side is still a barrier — that is what a shuffle is.)
+    **Streaming intake** (``_map_side``): input blocks are consumed
+    through ``iter_internal_ref_bundles`` — split tasks launch as
+    upstream operators emit blocks, overlapping the exchange's map side
+    with upstream compute instead of materializing the whole input
+    first; the stream's bundles also carry the input's schema.  (The
+    reduce side, ``_reduce_side``, is still a barrier — that is what a
+    shuffle is; the joins hand it two inputs and their bucket ``fn``
+    gets one table per side.)
 
     **Hierarchical two-round mode** (automatic above
     ``TWO_ROUND_THRESHOLD`` buckets, or forced with ``two_round=True``):
@@ -232,88 +230,96 @@ def hash_exchange(ds: ray.data.Dataset, key_col: str, fn,
     partitioning contract every consumer assumes.  Bucket results return
     in fine-bucket order in both modes.
     """
-    def empty_result() -> ray.data.Dataset:
-        # zero input blocks: honor the fn contract anyway — apply fn to
-        # an empty table of the input schema so consumers see fn's
-        # OUTPUT schema, not the raw input union schema (which for the
-        # join wrappers contains the internal __side column)
-        sch = ds.schema(fetch_if_missing=False)
-        if sch is None or len(sch.base_schema) == 0:
-            # unknown or zero-column schema (a map over an exchange
-            # output loses it, see module caveat): nothing to hand fn
-            return ds
-        return ray.data.from_arrow(fn(sch.base_schema.empty_table()))
-
-    refs = _stream_block_refs(ds)
     if two_round is None:
         two_round = num_buckets > TWO_ROUND_THRESHOLD
-
-    if not two_round:
-        split = _exchange_split.options(num_returns=num_buckets)
-        cols: list[list] = [[] for _ in range(num_buckets)]
-        empty = True
-        for ref in refs:
-            empty = False
-            outs = split.remote(ref, key_col, num_buckets)
-            if num_buckets == 1:
-                outs = [outs]
-            for i, r in enumerate(outs):
-                cols[i].append(r)
-        if empty:
-            return empty_result()
-        out_refs = [_exchange_apply.remote(fn, *cols[i])
-                    for i in range(num_buckets)]
-        return ray.data.from_arrow_refs(out_refs)
-
-    outer = max(2, int(np.ceil(np.sqrt(num_buckets))))
-    inner = int(np.ceil(num_buckets / outer))
-    outer = int(np.ceil(num_buckets / inner))   # trim overshoot
-    split1 = _exchange_split.options(num_returns=outer)
-
-    # round 1: block → outer coarse slices, consolidated per band of
-    # ``outer`` map tasks (band width = outer keeps consolidated blocks
-    # at ~input block size)
-    oc: list[list] = [[] for _ in range(outer)]
-    empty = True
-    for ref in refs:
-        empty = False
-        outs = split1.remote(ref, key_col, num_buckets, inner, 0, outer)
-        if outer == 1:
-            outs = [outs]
-        for o, r in enumerate(outs):
-            oc[o].append(r)
-    if empty:
-        return empty_result()
-    cons: list[list] = [
-        [_exchange_concat.remote(*oc[o][g:g + outer])
-         for g in range(0, len(oc[o]), outer)]
-        for o in range(outer)
-    ]
-
-    # round 2: consolidated block → inner fine slices, apply per bucket
-    out_refs = []
-    for o in range(outer):
-        inner_o = min(inner, num_buckets - o * inner)
-        split2 = _exchange_split.options(num_returns=inner_o)
-        parts2: list[list] = [[] for _ in range(inner_o)]
-        for cref in cons[o]:
-            outs = split2.remote(cref, key_col, num_buckets, inner, 1,
-                                 inner_o)
-            if inner_o == 1:
-                outs = [outs]
-            for i, r in enumerate(outs):
-                parts2[i].append(r)
-        out_refs.extend(_exchange_apply.remote(fn, *parts2[i])
-                        for i in range(inner_o))
-    return ray.data.from_arrow_refs(out_refs)
+    parts, _ = _map_side(ds, key_col, num_buckets, two_round)
+    if not parts[0]:
+        # zero input blocks: honor the fn contract anyway — apply fn to
+        # an empty table of the input schema so consumers see fn's
+        # OUTPUT schema
+        sch = ds.schema(fetch_if_missing=False)
+        if sch is None or len(sch.base_schema) == 0:
+            # unknown or zero-column schema: nothing to hand fn
+            return ds
+        return ray.data.from_arrow(fn(sch.base_schema.empty_table()))
+    return _reduce_side(fn, [parts])
 
 
 def _stream_block_refs(ds: ray.data.Dataset):
-    """Yield the dataset's block refs as the streaming executor produces
+    """Yield ``(block_ref, schema)`` as the streaming executor produces
     them (no whole-input materialization before the exchange's map side
-    starts)."""
+    starts).  ``schema`` is the block's bundle schema, None when the
+    bundle carries no columns (Ray's zero-column empty blocks)."""
     for bundle in ds.iter_internal_ref_bundles():
-        yield from bundle.block_refs
+        sch = bundle.schema
+        if sch is not None and len(sch.names) == 0:
+            sch = None
+        for ref in bundle.block_refs:
+            yield ref, sch
+
+
+def _split_blocks(refs, key_col: str, num_buckets: int, inner: int,
+                  stage: int, n_out: int, prep=None) -> list[list]:
+    """One split task per block → per-output lists of slice refs."""
+    split = _exchange_split.options(num_returns=n_out)
+    cols: list[list] = [[] for _ in range(n_out)]
+    for ref in refs:
+        outs = split.remote(ref, key_col, num_buckets, inner, stage, n_out,
+                            prep)
+        for i, r in enumerate([outs] if n_out == 1 else outs):
+            cols[i].append(r)
+    return cols
+
+
+def _map_side(ds: ray.data.Dataset, key_col: str, num_buckets: int,
+              two_round: bool, prep=None) -> tuple[list[list], object]:
+    """The exchange's map side for ONE input: stream ``ds`` and split
+    every block by ``key_col`` (after ``prep``, see ``_exchange_split``).
+    Returns ``(parts, schema)``: per fine bucket the slice refs of every
+    map task (empty lists for an input with no blocks), and the first
+    non-empty schema the stream carried (None when it carried none) —
+    the schema comes from the stream the exchange consumes anyway, so
+    no ``Dataset.schema()`` fetch runs a partial copy of the plan."""
+    schema = None
+
+    def refs():
+        nonlocal schema
+        for ref, sch in _stream_block_refs(ds):
+            if schema is None:
+                schema = sch
+            yield ref
+
+    if prep is not None:
+        prep = ray.put(prep)              # shipped once, not per task
+    if not two_round:
+        return (_split_blocks(refs(), key_col, num_buckets, 1, 0,
+                              num_buckets, prep), schema)
+    outer = max(2, int(np.ceil(np.sqrt(num_buckets))))
+    inner = int(np.ceil(num_buckets / outer))
+    outer = int(np.ceil(num_buckets / inner))   # trim overshoot
+    # round 1: block → outer coarse slices, consolidated per band of
+    # ``outer`` map tasks (band width = outer keeps consolidated blocks
+    # at ~input block size)
+    oc = _split_blocks(refs(), key_col, num_buckets, inner, 0, outer, prep)
+    # round 2: consolidated block → inner fine slices
+    parts: list[list] = []
+    for o in range(outer):
+        cons = [_exchange_concat.remote(*oc[o][g:g + outer])
+                for g in range(0, len(oc[o]), outer)]
+        parts.extend(_split_blocks(cons, key_col, num_buckets, inner, 1,
+                                   min(inner, num_buckets - o * inner)))
+    return parts, schema
+
+
+def _reduce_side(fn, inputs: list[list[list]]) -> ray.data.Dataset:
+    """The exchange's reduce side: one ``_exchange_apply`` task per fine
+    bucket over that bucket's slices of every input (``_map_side``
+    parts).  The result is materialized over the bucket outputs, so
+    reading it back runs no further Ray Data execution."""
+    out_refs = [_exchange_apply.remote(fn, [len(p[b]) for p in inputs],
+                                       *[r for p in inputs for r in p[b]])
+                for b in range(len(inputs[0]))]
+    return ray.data.from_arrow_refs(out_refs).materialize()
 
 
 # perfbench/tracing.py wraps the exchange under this name as well
@@ -348,30 +354,171 @@ def bucketed_sum_multi(ds: ray.data.Dataset, key_cols: list[str],
     return hash_exchange(ds, key_cols[0], fn, num_buckets)
 
 
-SIDE_COL = "__side"
 SKEY_COL = "__skey"
 SALT_COL = "__salt"
+NSALT_COL = "__nsalt"
+# i-th salt sub-key offset = i × GOLDEN mod 2^64 (computed in Python
+# ints: a numpy scalar multiply would warn on the intended overflow)
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _empty_side_fallback(left: ray.data.Dataset, right, how: str):
-    """Join inputs may be schema-less: Ray loses the schema of a fully-
-    EMPTY dataset (e.g. after repartition of 0 rows), so the output
-    schema cannot be derived.  The ROW semantics are still well-defined
-    — resolve them, omitting the unknowable missing side's columns
-    (degraded schema on an empty or pass-through result; the inert-empty
-    convention, see _exchange_apply).  Returns None when both sides
-    carry schemas and the join should proceed normally."""
-    if left.schema() is None:
-        # no left rows: every how but "full" emits no rows; "full" keeps
-        # the right side intact (left columns unknowable)
-        if how == "full" and isinstance(right, ray.data.Dataset):
-            return right
-        return left
-    if isinstance(right, ray.data.Dataset) and right.schema() is None:
-        # empty right: inner/semi drop every left row; anti/left/full
-        # keep them all (null right columns unknowable)
-        return left.limit(0) if how in ("inner", "semi") else left
-    return None
+def _arrow_schema(sch, op: str):
+    """A join side's streamed schema as an Arrow schema (None stays
+    None: the side carried no columns)."""
+    if sch is not None and not isinstance(sch, pa.Schema):
+        raise TypeError(f"{op} needs Arrow blocks; got {type(sch).__name__}"
+                        " (map with batch_format='pyarrow')")
+    return sch
+
+
+def _cast_keys(t: pa.Table, types: dict) -> pa.Table:
+    """Cast ``t``'s key columns to ``types`` (the right key to the left
+    key's type, so both sides route and match alike)."""
+    for name, typ in types.items():
+        if t[name].type != typ:
+            t = t.set_column(t.schema.get_field_index(name), name,
+                             t[name].cast(typ))
+    return t
+
+
+def _key_hash(t: pa.Table, on_cols: list[str]) -> np.ndarray:
+    import polars as pl
+
+    if len(on_cols) == 1:
+        h = pl.from_arrow(t[on_cols[0]].combine_chunks()).hash(seed=23)
+    else:
+        h = pl.from_arrow(t.select(on_cols)).hash_rows(seed=23)
+    return h.to_numpy().astype(np.uint64, copy=False)
+
+
+def _salt_counts(salt, on: str):
+    """Per-row salt count of a block's ``on`` keys: None (every key
+    once), an int (every key), or a dict key → count (those keys; the
+    rest once — the map rides the object store ONCE and resolves per
+    block via one polars left join, ``_bcast_frame`` cache)."""
+    if salt is None:
+        return None
+    if isinstance(salt, int):
+        return lambda t: np.full(t.num_rows, salt, dtype=np.int64)
+    map_ref = ray.put(pa.table({
+        on: pa.array(list(salt.keys())),
+        NSALT_COL: pa.array(list(salt.values()), type=pa.int64())}))
+
+    def counts(t: pa.Table) -> np.ndarray:
+        import polars as pl
+
+        keys = pl.from_arrow(t.select([on]).combine_chunks())
+        m = _bcast_frame(map_ref)
+        if m[on].dtype != keys[on].dtype:   # map keys → the column's type
+            m = m.with_columns(pl.col(on).cast(keys[on].dtype))
+        j = keys.join(m, on=on, how="left", maintain_order="left")
+        return j[NSALT_COL].fill_null(1).to_numpy().astype(np.int64,
+                                                          copy=False)
+
+    return counts
+
+
+def _join(left: ray.data.Dataset, right: ray.data.Dataset,
+          on: str | list[str], num_buckets: int, how: str, post,
+          salt, op: str) -> ray.data.Dataset:
+    """The one body of ``hash_join``, ``salted_join`` and ``skew_join``.
+
+    ``salt`` is the per-key salt count: None routes every key once by
+    its own hash (``on`` itself, or a packed row-hash for a composite
+    key); otherwise each LEFT row of a key with count s gets sub-key
+    ``row % s`` and each RIGHT row of that key is replicated s times,
+    one copy per sub-key, all routed by ``hash(key) + sub × GOLDEN``
+    and matched on (key, sub-key) — every (left, right) match meets in
+    exactly one bucket.
+
+    Both sides run through the exchange's map side one after the other
+    (left first, so the right key is cast to the left key's type before
+    it is hashed); each side's per-block prep runs inside its split
+    tasks.  The output schema is built from the schemas the two streams
+    carried, before any reduce task starts, so a collision raises at
+    call time.  A side whose stream carried no schema (Ray loses it on
+    a fully-EMPTY input) has no rows: with no left schema every ``how``
+    but "full" yields no rows and "full" returns the right side as it
+    is; with no right schema inner/semi keep no left row, left/anti/
+    full keep every one, with the left columns only (the right's are
+    unknowable) and without ``post``."""
+    on_cols = [on] if isinstance(on, str) else list(on)
+    filtering = how in ("semi", "anti")
+    keyed = salt is not None or len(on_cols) > 1
+    route = SKEY_COL if keyed else on_cols[0]
+    two_round = num_buckets > TWO_ROUND_THRESHOLD
+    nsalt = _salt_counts(salt, on_cols[0])
+    off = None
+    if salt is not None:
+        top = salt if isinstance(salt, int) else max(salt.values())
+        off = np.array([(i * _GOLDEN) & 0xFFFFFFFFFFFFFFFF
+                        for i in range(top)], dtype=np.uint64)
+
+    def sub_keyed(t: pa.Table, sub) -> pa.Table:
+        h = _key_hash(t, on_cols)
+        if sub is None:
+            return t.append_column(SKEY_COL, pa.array(h.view(np.int64)))
+        return (t.append_column(SKEY_COL,
+                                pa.array((h + off[sub]).view(np.int64)))
+                .append_column(SALT_COL, pa.array(sub)))
+
+    def prep_left(t: pa.Table) -> pa.Table:
+        if salt is None:
+            return sub_keyed(t, None)
+        return sub_keyed(t, np.arange(t.num_rows, dtype=np.int64)
+                         % nsalt(t))
+
+    lparts, ls = _map_side(left, route, num_buckets, two_round,
+                           prep_left if keyed else None)
+    ls = _arrow_schema(ls, op)
+    if ls is None:
+        return right if how == "full" else ray.data.from_arrow(pa.table({}))
+    key_types = {c: ls.field(c).type for c in on_cols}
+
+    def prep_right(t: pa.Table) -> pa.Table:
+        t = _cast_keys(t, key_types)
+        if filtering:
+            # semi/anti return left rows only: the right side ships its
+            # KEY column(s) alone (the skinny-probe optimization)
+            t = t.select(on_cols)
+        if salt is None:
+            return sub_keyed(t, None) if keyed else t
+        ns = nsalt(t)
+        idx = np.repeat(np.arange(t.num_rows, dtype=np.int64), ns)
+        starts = np.repeat(np.cumsum(ns) - ns, ns)    # copy index 0..ns-1
+        return sub_keyed(t.take(pa.array(idx)),
+                         np.arange(len(idx), dtype=np.int64) - starts)
+
+    rparts, rs = _map_side(right, route, num_buckets, two_round, prep_right)
+    rs = _arrow_schema(rs, op)
+    lf = list(zip(ls.names, ls.types))
+    r_rest = [] if filtering or rs is None else \
+        [(n, t) for n, t in zip(rs.names, rs.types) if n not in on_cols]
+    overlap = set(ls.names) & {n for n, _ in r_rest}
+    if overlap:
+        raise ValueError(f"{op} column collision: {sorted(overlap)}")
+    out_schema = pa.schema(lf + r_rest)
+    salt_cols = [] if salt is None else [SALT_COL]
+    keep_all = how not in ("inner", "semi")
+
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        import polars as pl
+
+        if rs is None:
+            return (lt if keep_all else lt.slice(0, 0)) \
+                .select(ls.names).cast(out_schema)
+        lhs = pl.from_arrow(lt).select(ls.names + salt_cols)
+        rhs = pl.from_arrow(rt).select(on_cols + salt_cols
+                                       + [n for n, _ in r_rest])
+        # join on (key, sub-key): a bucket can hold right COPIES of
+        # another sub-key of the same key; full outer coalesces the two
+        # key columns into one so unmatched right rows keep their key
+        out = lhs.join(rhs, on=on_cols + salt_cols, how=how,
+                       coalesce=True if how == "full" else None)
+        joined = out.select(out_schema.names).to_arrow().cast(out_schema)
+        return post(joined) if post is not None else joined
+
+    return _reduce_side(join_bucket, [lparts, rparts])
 
 
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -387,10 +534,10 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     packed column never appears in the output.
 
     Both sides are hash-partitioned on ``on`` into the same buckets (one
-    union + one shuffle), then each bucket is joined vectorized with
-    polars — the bucketed co-group idiom (all rows of one key meet in one
-    bucket), never a driver-side collect of either side.  Non-key column
-    names must be disjoint; rename before joining.
+    exchange that takes both sides' blocks), then each bucket is joined
+    vectorized with polars — the bucketed co-group idiom (all rows of
+    one key meet in one bucket), never a driver-side collect of either
+    side.  Non-key column names must be disjoint; rename before joining.
 
     ``how`` ∈ {"inner", "left", "semi", "anti", "full"} (polars
     semantics); semi/anti return LEFT columns only and ship only the
@@ -398,11 +545,9 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     coalesces the key so unmatched rows of EITHER side survive with one
     non-null key column.
 
-    CAVEAT: output fields derive from each input's ``Dataset.schema()``.
-    A lazy ``select_columns``/``rename_columns`` applied to an exchange
-    output does NOT propagate into that schema (observed on Ray 2.49) —
-    project with an explicit ``map_batches`` instead (see
-    relational.q38's ``o_project``).
+    Output fields derive from the schemas the two input streams carry
+    (``_join``): no ``Dataset.schema()`` fetch, so a lazy projection or
+    rename upstream is seen exactly as its blocks are.
 
     Reference analog: the doc-text ⋈ anchors groupByKey co-group
     (reference: src/main/scala/context/EntityWordsProbs.scala:198-202) —
@@ -414,117 +559,46 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     the wide joined table never crosses an operator boundary through the
     object store.
     """
-    fb = _empty_side_fallback(left, right, how)
-    if fb is not None:
-        return fb
-    on_cols = [on] if isinstance(on, str) else list(on)
-    multi = len(on_cols) > 1
-    lf = [(f.name, f.type) for f in left.schema().base_schema]
-    rf = [(f.name, f.type) for f in right.schema().base_schema]
-    l_names = [n for n, _ in lf]
-    # semi/anti joins return left rows only — the right side contributes
-    # nothing but key existence, so only its KEY column(s) ride the
-    # exchange (the skinny-probe optimization; dedup upstream if the
-    # right side is huge and key-repetitive)
-    filtering = how in ("semi", "anti")
-    r_rest = [] if filtering else [(n, t) for n, t in rf
-                                   if n not in on_cols]
-    overlap = set(l_names) & {n for n, _ in r_rest}
+    return _join(left, right, on, num_buckets, how, post, None, "hash_join")
+
+
+def _suffix_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
+                 suffix: str, num_buckets: int, op: str, bucket_fn,
+                 keep_unmatched: bool) -> ray.data.Dataset:
+    """Shared plumbing of the two inequality joins (asof/interval): the
+    ``_join`` intake on the equality key ``by`` with the right side's
+    non-key columns renamed with ``suffix`` in its prep.  ``bucket_fn(
+    lhs, rhs, out_schema)`` resolves one bucket; a side that streamed no
+    schema has no rows (``keep_unmatched``: the left rows survive with
+    the left columns only)."""
+    two_round = num_buckets > TWO_ROUND_THRESHOLD
+    lparts, ls = _map_side(left, by, num_buckets, two_round)
+    ls = _arrow_schema(ls, op)
+    if ls is None:
+        return ray.data.from_arrow(pa.table({}))
+    key_type = {by: ls.field(by).type}
+
+    def prep_right(t: pa.Table) -> pa.Table:
+        return _cast_keys(t, key_type).rename_columns(
+            [n if n == by else n + suffix for n in t.column_names])
+
+    rparts, rs = _map_side(right, by, num_buckets, two_round, prep_right)
+    rs = _arrow_schema(rs, op)
+    r_fields = [] if rs is None else \
+        [(n + suffix, t) for n, t in zip(rs.names, rs.types) if n != by]
+    overlap = set(ls.names) & {n for n, _ in r_fields}
     if overlap:
-        raise ValueError(f"hash_join column collision: {sorted(overlap)}")
-    all_fields = lf + r_rest
-    out_fields = lf if filtering else all_fields
-    out_schema = pa.schema(out_fields)
+        raise ValueError(f"{op} column collision: {sorted(overlap)}")
+    out_schema = pa.schema(list(zip(ls.names, ls.types)) + r_fields)
 
-    def align(side: int):
-        def f(t: pa.Table) -> pa.Table:
-            import polars as pl
-
-            n = t.num_rows
-            cols = {}
-            for name, typ in all_fields:
-                if name in t.column_names:
-                    col = t[name]
-                    cols[name] = (col.cast(typ)
-                                  if col.type != typ else col)
-                else:
-                    cols[name] = pa.nulls(n, type=typ)
-            cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-            if multi:
-                # routing key only: a packed row-hash of the key tuple
-                # (over the CAST columns, so int32-vs-int64 sides hash
-                # alike); the in-bucket join matches on the real columns
-                h = (pl.from_arrow(pa.table({c: cols[c] for c in on_cols}))
-                     .hash_rows(seed=23).to_numpy()
-                     .astype(np.uint64, copy=False))
-                cols[SKEY_COL] = pa.array(h.view(np.int64))
-            return pa.table(cols)
-
-        return f
-
-    both = left.map_batches(align(0), batch_format="pyarrow").union(
-        right.map_batches(align(1), batch_format="pyarrow"))
-
-    l_cols = l_names
-    r_cols = on_cols + [n for n, _ in r_rest]
-
-    def join_bucket(bucket: pa.Table) -> pa.Table:
+    def bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         import polars as pl
 
-        df = pl.from_arrow(bucket)
-        lhs = df.filter(pl.col(SIDE_COL) == 0).select(l_cols)
-        rhs = df.filter(pl.col(SIDE_COL) == 1).select(r_cols)
-        # full outer: coalesce the two key columns into one, so
-        # unmatched right rows carry their key in the shared column
-        out = lhs.join(rhs, on=on_cols, how=how,
-                       coalesce=True if how == "full" else None)
-        joined = out.select([n for n, _ in out_fields]).to_arrow().cast(out_schema)
-        return post(joined) if post is not None else joined
+        if rs is None:
+            return (lt if keep_unmatched else lt.slice(0, 0)).cast(out_schema)
+        return bucket_fn(pl.from_arrow(lt), pl.from_arrow(rt), out_schema)
 
-    key_col = SKEY_COL if multi else on_cols[0]
-    return hash_exchange(both, key_col, join_bucket, num_buckets)
-
-
-def _sided_union(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
-                 suffix: str, op_name: str):
-    """Shared plumbing of the two-sided join wrappers (asof/interval):
-    derive the joint output schema (right non-key columns renamed with
-    ``suffix``), reject collisions, align both sides onto it with a
-    ``__side`` tag, and union them for the single hash exchange.
-    Returns (both, l_cols, r_cols, all_fields, out_schema)."""
-    lf = [(f.name, f.type) for f in left.schema().base_schema]
-    rf = [(f.name, f.type) for f in right.schema().base_schema]
-    l_names = [n for n, _ in lf]
-    r_map = {n: (n if n == by else n + suffix) for n, _ in rf}
-    r_fields = [(r_map[n], t) for n, t in rf if n != by]
-    overlap = set(l_names) & {n for n, _ in r_fields}
-    if overlap:
-        raise ValueError(f"{op_name} column collision: {sorted(overlap)}")
-    all_fields = lf + r_fields
-    out_schema = pa.schema(all_fields)
-
-    def align(side: int, names_in: dict[str, str]):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            cols = {}
-            for name, typ in all_fields:
-                src = names_in.get(name)
-                if src is not None and src in t.column_names:
-                    col = t[src]
-                    cols[name] = col.cast(typ) if col.type != typ else col
-                else:
-                    cols[name] = pa.nulls(n, type=typ)
-            cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-            return pa.table(cols)
-
-        return f
-
-    both = left.map_batches(
-        align(0, {n: n for n in l_names}), batch_format="pyarrow"
-    ).union(right.map_batches(
-        align(1, {r_map[n]: n for n, _ in rf}), batch_format="pyarrow"))
-    r_cols = [by] + [n for n, _ in r_fields]
-    return both, l_names, r_cols, all_fields, out_schema
+    return _reduce_side(bucket, [lparts, rparts])
 
 
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
@@ -537,11 +611,11 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
     (left join).
 
     Partitioning contract: both sides hash-partition on the EQUALITY
-    key ``by`` into the same buckets — ONE union + ONE hash exchange,
-    the same co-group idiom as ``hash_join`` — so every (left, right)
-    pair that could match meets in exactly one bucket; no global sort
-    of either side.  Inside a bucket both sides sort by ``on`` and a
-    single vectorized ``polars.join_asof`` merge resolves every left
+    key ``by`` into the same buckets — ONE hash exchange over both
+    sides, the same co-group idiom as ``hash_join`` — so every (left,
+    right) pair that could match meets in exactly one bucket; no global
+    sort of either side.  Inside a bucket both sides sort by ``on`` and
+    a single vectorized ``polars.join_asof`` merge resolves every left
     row (O(n log n) per bucket, merge itself linear).
 
     Right-side non-key columns are renamed with ``suffix``; the right
@@ -550,28 +624,23 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
     engine-ordering-dependent — project the right side to columns
     determined by (by, on) when exact tie determinism matters.
     """
-    both, l_cols, r_cols, all_fields, out_schema = _sided_union(
-        left, right, by, suffix, "asof_join")
     on_r = on + suffix
 
-    def asof_bucket(bucket: pa.Table) -> pa.Table:
+    def asof_bucket(lhs, rhs, out_schema: pa.Schema) -> pa.Table:
         import polars as pl
 
         tmp = "__asof_on"
-        df = pl.from_arrow(bucket)
-        lhs = df.filter(pl.col(SIDE_COL) == 0).select(l_cols).sort(on)
         # join on a DUPLICATE of the right-on column so the matched
         # row's timestamp always survives as the plain data column
         # ``on_r`` — polars versions differ on whether join_asof keeps
         # or drops its right_on key
-        rhs = (df.filter(pl.col(SIDE_COL) == 1).select(r_cols).sort(on_r)
-               .with_columns(pl.col(on_r).alias(tmp)))
-        out = lhs.join_asof(rhs, left_on=on, right_on=tmp, by=by,
-                            strategy="backward")
-        return (out.select([n for n, _ in all_fields])
-                .to_arrow().cast(out_schema))
+        rhs = rhs.sort(on_r).with_columns(pl.col(on_r).alias(tmp))
+        out = lhs.sort(on).join_asof(rhs, left_on=on, right_on=tmp, by=by,
+                                     strategy="backward")
+        return out.select(out_schema.names).to_arrow().cast(out_schema)
 
-    return hash_exchange(both, by, asof_bucket, num_buckets)
+    return _suffix_join(left, right, by, suffix, num_buckets, "asof_join",
+                        asof_bucket, True)
 
 
 def interval_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
@@ -582,8 +651,8 @@ def interval_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
     every right interval row (``by``, ``start``, ``end``) with the same
     key and ``start <= on < end`` (half-open, inner join).
 
-    Same partitioning contract as ``asof_join``: ONE union + ONE hash
-    exchange on the equality key co-locates every possibly-matching
+    Same partitioning contract as ``asof_join``: ONE hash exchange over
+    both sides on the equality key co-locates every possibly-matching
     pair; inside a bucket a vectorized polars equality join on ``by``
     followed by the interval filter resolves the matches.  Per-key work
     is O(points × intervals) for that key — the join's true output bound
@@ -600,24 +669,19 @@ def interval_join(left: ray.data.Dataset, right: ray.data.Dataset, by: str,
     Right-side non-key columns (including ``start``/``end``) come back
     renamed with ``suffix``.
     """
-    both, l_cols, r_cols, all_fields, out_schema = _sided_union(
-        left, right, by, suffix, "interval_join")
     start_r, end_r = start + suffix, end + suffix
 
-    def interval_bucket(bucket: pa.Table) -> pa.Table:
+    def interval_bucket(lhs, rhs, out_schema: pa.Schema) -> pa.Table:
         import polars as pl
 
-        df = pl.from_arrow(bucket)
-        lhs = df.filter(pl.col(SIDE_COL) == 0).select(l_cols)
-        rhs = df.filter(pl.col(SIDE_COL) == 1).select(r_cols)
         out = (lhs.join(rhs, on=by, how="inner")
                .filter((pl.col(on) >= pl.col(start_r))
                        & (pl.col(on) < pl.col(end_r))))
-        joined = (out.select([n for n, _ in all_fields])
-                  .to_arrow().cast(out_schema))
+        joined = out.select(out_schema.names).to_arrow().cast(out_schema)
         return post(joined) if post is not None else joined
 
-    return hash_exchange(both, by, interval_bucket, num_buckets)
+    return _suffix_join(left, right, by, suffix, num_buckets,
+                        "interval_join", interval_bucket, False)
 
 
 def dedup_keep_first(ds: ray.data.Dataset, key_col: str,
@@ -722,26 +786,28 @@ def broadcast_join(large: ray.data.Dataset, small: "pa.Table", on: str,
     """
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"broadcast_join: unsupported how={how!r}")
-    if large.schema() is None:
-        return large                     # schema-less empty large side
     keep_small = [] if how in ("semi", "anti") else \
         [n for n in small.column_names if n != on]
-    lf = {f.name for f in large.schema().base_schema}
-    overlap = lf & set(keep_small)
-    if overlap:
-        raise ValueError(f"broadcast_join column collision: {sorted(overlap)}")
+
+    def check(names) -> None:
+        overlap = set(names) & set(keep_small)
+        if overlap:
+            raise ValueError("broadcast_join column collision: "
+                             f"{sorted(overlap)}")
+
+    # known without a fetch when ``large`` is materialized; a lazy large
+    # side is checked per batch instead
+    sch = large.schema(fetch_if_missing=False)
+    if sch is not None:
+        check(sch.names)
     small_ref = ray.put(small.select([on] + keep_small))
-    out_fields = [(f.name, f.type) for f in large.schema().base_schema] + \
-        [(n, small.schema.field(n).type) for n in keep_small]
-    empty_out = pa.schema(out_fields).empty_table()
 
     def join_batch(t: pa.Table) -> pa.Table:
         import polars as pl
 
-        if t.num_rows == 0 or on not in t.column_names:
-            # zero-COLUMN empty map block — emit the joined shape so
-            # `post` and downstream consumers see a consistent schema
-            return post(empty_out) if post is not None else empty_out
+        if on not in t.column_names:
+            return t                   # zero-COLUMN empty block: inert
+        check(t.column_names)
         out = (pl.from_arrow(t)
                .join(_bcast_frame(small_ref), on=on, how=how,
                      maintain_order="left").to_arrow())
@@ -758,10 +824,10 @@ def salted_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
     hash join puts ALL rows of one key in one bucket, so a key holding
     10% of a 100 TB fact table pins 10 TB on a single task.  Here each
     LEFT row is assigned one of ``salt`` sub-keys (round-robin per
-    batch) and the RIGHT side is replicated once per sub-key, so a hot
+    block) and the RIGHT side is replicated once per sub-key, so a hot
     key's left rows spread across ``salt`` buckets while every bucket
-    still holds the right rows it needs.  Each (left row, right row)
-    match meets in exactly one bucket — output is identical to
+    still holds the right rows it needs — the ``_join`` body with the
+    same salt count for every key.  Output is identical to
     ``hash_join`` for every ``how`` (inner/left/semi/anti).
 
     COST: the right side ships ``salt``× through the exchange — use
@@ -781,93 +847,8 @@ def salted_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
                          "use hash_join")
     if salt < 2:
         return hash_join(left, right, on, num_buckets, how, post)
-    fb = _empty_side_fallback(left, right, how)
-    if fb is not None:
-        return fb
-    lf = [(f.name, f.type) for f in left.schema().base_schema]
-    rf = [(f.name, f.type) for f in right.schema().base_schema]
-    l_names = [n for n, _ in lf]
-    filtering = how in ("semi", "anti")
-    r_rest = [] if filtering else [(n, t) for n, t in rf if n != on]
-    overlap = set(l_names) & {n for n, _ in r_rest}
-    if overlap:
-        raise ValueError(f"salted_join column collision: {sorted(overlap)}")
-    all_fields = lf + r_rest
-    out_fields = lf if filtering else all_fields
-    out_schema = pa.schema(out_fields)
-    # i-th sub-key offset, wrapped mod 2^64 in Python ints (numpy scalar
-    # multiply would emit a RuntimeWarning on the intended overflow)
-    GOLDEN = 0x9E3779B97F4A7C15
-    salt_off = np.array([(i * GOLDEN) & 0xFFFFFFFFFFFFFFFF
-                         for i in range(salt)], dtype=np.uint64)
-
-    def _aligned(t: pa.Table, side: int) -> dict:
-        n = t.num_rows
-        cols = {}
-        for name, typ in all_fields:
-            if name in t.column_names:
-                col = t[name]
-                cols[name] = col.cast(typ) if col.type != typ else col
-            else:
-                cols[name] = pa.nulls(n, type=typ)
-        cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-        return cols
-
-    def _key_hash(t: pa.Table) -> np.ndarray:
-        import polars as pl
-
-        return (pl.from_arrow(t[on].combine_chunks())
-                .hash(seed=23).to_numpy().astype(np.uint64, copy=False))
-
-    # Ray map operators emit zero-COLUMN blocks when a task's input has
-    # no rows — pass those through as an empty ALIGNED table so the
-    # union schema stays identical to the live path
-    empty_aligned = pa.schema(
-        all_fields + [(SIDE_COL, pa.int8()), (SKEY_COL, pa.int64()),
-                      (SALT_COL, pa.int64())]).empty_table()
-
-    def align_left(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or on not in t.column_names:
-            return empty_aligned
-        cols = _aligned(t, 0)
-        h = _key_hash(t)
-        sub = (np.arange(t.num_rows) % salt)
-        cols[SKEY_COL] = pa.array((h + salt_off[sub]).view(np.int64))
-        cols[SALT_COL] = pa.array(sub.astype(np.int64))
-        return pa.table(cols)
-
-    def align_right(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or on not in t.column_names:
-            return empty_aligned
-        cols = _aligned(t, 1)
-        h = _key_hash(t)
-        copies = []
-        for i in range(salt):
-            c = dict(cols)
-            c[SKEY_COL] = pa.array((h + salt_off[i]).view(np.int64))
-            c[SALT_COL] = pa.array(np.full(t.num_rows, i, dtype=np.int64))
-            copies.append(pa.table(c))
-        return pa.concat_tables(copies)
-
-    both = left.map_batches(align_left, batch_format="pyarrow").union(
-        right.map_batches(align_right, batch_format="pyarrow"))
-    r_cols = [on, SALT_COL] + [n for n, _ in r_rest]
-
-    def join_bucket(bucket: pa.Table) -> pa.Table:
-        import polars as pl
-
-        df = pl.from_arrow(bucket)
-        lhs = df.filter(pl.col(SIDE_COL) == 0).select(l_names + [SALT_COL])
-        rhs = df.filter(pl.col(SIDE_COL) == 1).select(r_cols)
-        # join on (key, salt): a bucket can coincidentally hold right
-        # COPIES belonging to another sub-key of the same key — matching
-        # on the key alone would join a left row against every such copy
-        out = lhs.join(rhs, on=[on, SALT_COL], how=how)
-        joined = (out.select([n for n, _ in out_fields])
-                  .to_arrow().cast(out_schema))
-        return post(joined) if post is not None else joined
-
-    return hash_exchange(both, SKEY_COL, join_bucket, num_buckets)
+    return _join(left, right, on, num_buckets, how, post, int(salt),
+                 "salted_join")
 
 
 def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
@@ -888,10 +869,6 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
     (inner/left/semi/anti): each (left row, right row) match meets in
     exactly one (key, sub-key) bucket.  ``how='full'`` is rejected —
     an unmatched hot right row would surface once per replica.
-
-    The salt map rides the object store ONCE (``ray.put`` + the
-    ``_bcast_frame`` per-worker cache); per batch the salt count
-    resolves via one vectorized polars left join against it.
     """
     if how == "full":
         raise ValueError("skew_join does not support how='full'; "
@@ -899,106 +876,27 @@ def skew_join(left: ray.data.Dataset, right: ray.data.Dataset, on: str,
     hot = {k: int(s) for k, s in hot_keys.items() if int(s) >= 2}
     if not hot:
         return hash_join(left, right, on, num_buckets, how, post)
-    fb = _empty_side_fallback(left, right, how)
-    if fb is not None:
-        return fb
-    lf = [(f.name, f.type) for f in left.schema().base_schema]
-    rf = [(f.name, f.type) for f in right.schema().base_schema]
-    l_names = [n for n, _ in lf]
-    filtering = how in ("semi", "anti")
-    r_rest = [] if filtering else [(n, t) for n, t in rf if n != on]
-    overlap = set(l_names) & {n for n, _ in r_rest}
-    if overlap:
-        raise ValueError(f"skew_join column collision: {sorted(overlap)}")
-    all_fields = lf + r_rest
-    out_fields = lf if filtering else all_fields
-    out_schema = pa.schema(out_fields)
-    max_salt = max(hot.values())
-    GOLDEN = 0x9E3779B97F4A7C15
-    salt_off = np.array([(i * GOLDEN) & 0xFFFFFFFFFFFFFFFF
-                         for i in range(max_salt)], dtype=np.uint64)
-    key_type = dict(lf)[on]
-    NSALT = "__nsalt"
-    map_ref = ray.put(pa.table({
-        on: pa.array(list(hot.keys()), type=key_type),
-        NSALT: pa.array(list(hot.values()), type=pa.int64()),
-    }))
+    return _join(left, right, on, num_buckets, how, post, hot, "skew_join")
 
-    def _nsalt_for(t: pa.Table) -> np.ndarray:
-        import polars as pl
 
-        keys = pl.from_arrow(t.select([on]).combine_chunks())
-        j = keys.join(_bcast_frame(map_ref), on=on, how="left",
-                      maintain_order="left")
-        return j[NSALT].fill_null(1).to_numpy().astype(np.int64,
-                                                       copy=False)
+@ray.remote
+def _sample_top(tbl, on: str, frac: float, top: int, seed: list[int]):
+    """One block's seeded Bernoulli row sample → its ``top`` most
+    frequent ``on`` keys with counts, and the sample size (None for a
+    block without rows or without the column)."""
+    import polars as pl
 
-    def _aligned(t: pa.Table, side: int) -> dict:
-        n = t.num_rows
-        cols = {}
-        for name, typ in all_fields:
-            if name in t.column_names:
-                col = t[name]
-                cols[name] = col.cast(typ) if col.type != typ else col
-            else:
-                cols[name] = pa.nulls(n, type=typ)
-        cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-        return cols
-
-    def _key_hash(t: pa.Table) -> np.ndarray:
-        import polars as pl
-
-        return (pl.from_arrow(t[on].combine_chunks())
-                .hash(seed=23).to_numpy().astype(np.uint64, copy=False))
-
-    # zero-COLUMN empty blocks (Ray map ops on fully-filtered input)
-    # pass through as an empty ALIGNED table, mirroring salted_join
-    empty_aligned = pa.schema(
-        all_fields + [(SIDE_COL, pa.int8()), (SKEY_COL, pa.int64()),
-                      (SALT_COL, pa.int64())]).empty_table()
-
-    def align_left(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or on not in t.column_names:
-            return empty_aligned
-        cols = _aligned(t, 0)
-        h = _key_hash(t)
-        ns = _nsalt_for(t)
-        sub = np.arange(t.num_rows, dtype=np.int64) % ns  # round-robin
-        cols[SKEY_COL] = pa.array((h + salt_off[sub]).view(np.int64))
-        cols[SALT_COL] = pa.array(sub)
-        return pa.table(cols)
-
-    def align_right(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or on not in t.column_names:
-            return empty_aligned
-        ns = _nsalt_for(t)
-        idx = np.repeat(np.arange(t.num_rows, dtype=np.int64), ns)
-        rep = t.take(pa.array(idx))
-        cols = _aligned(rep, 1)
-        h = _key_hash(rep)
-        # copy index within each source row: 0..ns_i-1
-        starts = np.repeat(np.cumsum(ns) - ns, ns)
-        sub = np.arange(len(idx), dtype=np.int64) - starts
-        cols[SKEY_COL] = pa.array((h + salt_off[sub]).view(np.int64))
-        cols[SALT_COL] = pa.array(sub)
-        return pa.table(cols)
-
-    both = left.map_batches(align_left, batch_format="pyarrow").union(
-        right.map_batches(align_right, batch_format="pyarrow"))
-    r_cols = [on, SALT_COL] + [n for n, _ in r_rest]
-
-    def join_bucket(bucket: pa.Table) -> pa.Table:
-        import polars as pl
-
-        df = pl.from_arrow(bucket)
-        lhs = df.filter(pl.col(SIDE_COL) == 0).select(l_names + [SALT_COL])
-        rhs = df.filter(pl.col(SIDE_COL) == 1).select(r_cols)
-        out = lhs.join(rhs, on=[on, SALT_COL], how=how)
-        joined = (out.select([n for n, _ in out_fields])
-                  .to_arrow().cast(out_schema))
-        return post(joined) if post is not None else joined
-
-    return hash_exchange(both, SKEY_COL, join_bucket, num_buckets)
+    if not isinstance(tbl, pa.Table):          # pandas block from upstream
+        tbl = pa.Table.from_pandas(tbl, preserve_index=False)
+    if tbl.num_rows == 0 or on not in tbl.column_names:
+        return None
+    col = tbl[on].combine_chunks()
+    if frac < 1.0:
+        col = col.filter(pa.array(
+            np.random.default_rng(seed).random(len(col)) < frac))
+    vc = pl.Series(on, col).value_counts(sort=True).head(top)
+    return vc.with_columns(pl.col("count").cast(pl.Int64)).to_arrow(), \
+        len(col)
 
 
 def detect_hot_keys(ds: ray.data.Dataset, on: str, *,
@@ -1007,54 +905,33 @@ def detect_hot_keys(ds: ray.data.Dataset, on: str, *,
                     per_batch_top: int = 16,
                     seed: int = 7) -> dict:
     """Estimate the hot-key set of ``ds[on]`` from one cheap sampled
-    pass: per sampled batch, the ``per_batch_top`` most frequent keys
-    (plus the batch row count) — O(top × batches) skinny rows reach the
-    driver, never the data.  A key is HOT when its sampled share is
-    ≥ ``hot_frac``; its salt is sized so its rows spread to roughly the
-    per-bucket average (share × num_buckets, clamped to [2, max_salt]).
+    pass: per block, the ``per_batch_top`` most frequent keys of a
+    seeded row sample (plus the sample size), computed by one plain
+    task per streamed block — O(top × blocks) skinny rows reach the
+    driver, never the data, and the key type is the blocks' own.  A key
+    is HOT when its sampled share is ≥ ``hot_frac``; its salt is sized
+    so its rows spread to roughly the per-bucket average (share ×
+    num_buckets, clamped to [2, max_salt]).
 
     The estimate only steers PERFORMANCE: ``skew_join`` output is
     identical whatever map this returns (a missed hot key just joins
     unsalted; a false positive pays a few duplicate right rows), so the
-    sampling noise of ``random_sample`` is harmless by construction —
-    the reason this can be a sample instead of an exact histogram.
+    sampling noise is harmless by construction — the reason this can be
+    a sample instead of an exact histogram.
     """
-    if ds.schema() is None:
-        return {}
-    key_field = next(f for f in ds.schema().base_schema if f.name == on)
-    empty = pa.table({on: pa.array([], type=key_field.type),
-                      "cnt": pa.array([], type=pa.int64()),
-                      "bid": pa.array([], type=pa.string()),
-                      "batch_n": pa.array([], type=pa.int64())})
-
-    def topc(t: pa.Table) -> pa.Table:
-        import uuid
-
-        import polars as pl
-
-        if t.num_rows == 0 or on not in t.column_names:
-            return empty
-        vc = (pl.from_arrow(t.select([on]).combine_chunks())[on]
-              .value_counts(sort=True).head(per_batch_top))
-        return pa.table({
-            on: vc[on].to_arrow().cast(key_field.type),
-            "cnt": vc["count"].cast(pl.Int64).to_arrow(),
-            "bid": pa.array([uuid.uuid4().hex] * len(vc)),
-            "batch_n": pa.array(np.full(len(vc), t.num_rows,
-                                        dtype=np.int64)),
-        })
-
-    sample = ds if sample_frac >= 1.0 else ds.random_sample(sample_frac,
-                                                            seed=seed)
-    parts = sample.map_batches(topc, batch_format="pyarrow").to_pandas()
-    if len(parts) == 0:
-        return {}
-    total = int(parts.drop_duplicates("bid")["batch_n"].sum())
+    outs = [o for o in ray.get([
+        _sample_top.remote(ref, on, sample_frac, per_batch_top, [seed, i])
+        for i, (ref, _) in enumerate(_stream_block_refs(ds))])
+        if o is not None]
+    total = sum(n for _, n in outs)
     if total == 0:
         return {}
-    by_key = parts.groupby(on, sort=False)["cnt"].sum()
+    counts = (pa.concat_tables([vc for vc, _ in outs],
+                               promote_options="permissive")
+              .group_by(on).aggregate([("count", "sum")]))
     hot = {}
-    for k, c in by_key.items():
+    for k, c in zip(counts[on].to_pylist(),
+                    counts["count_sum"].to_pylist()):
         share = c / total
         if share >= hot_frac:
             hot[k] = int(min(max_salt,
@@ -1070,9 +947,8 @@ def adaptive_skew_join(left: ray.data.Dataset, right: ray.data.Dataset,
     """``hash_join`` that defends itself against key skew: sample the
     LEFT side's key histogram (``detect_hot_keys``), then salt exactly
     the detected hot keys (``skew_join``) — or run the plain join when
-    the histogram is flat.  The detection pass costs one sampled scan
-    of the left key column, projected first so a left side carrying
-    wide payloads ships none of them; the join result is identical
+    the histogram is flat.  The detection pass streams the left side
+    once and reads only its key column; the join result is identical
     either way.
 
     ``how='full'`` always routes to the plain ``hash_join`` (which
@@ -1080,10 +956,9 @@ def adaptive_skew_join(left: ray.data.Dataset, right: ray.data.Dataset,
     detector fires depends on sampling noise, so branching on it would
     make the error data-dependent.
     """
-    if how == "full" or left.schema() is None or right.schema() is None:
+    if how == "full":
         return hash_join(left, right, on, num_buckets, how, post)
-    hot = detect_hot_keys(left.select_columns([on]), on,
-                          sample_frac=sample_frac,
+    hot = detect_hot_keys(left, on, sample_frac=sample_frac,
                           hot_frac=hot_frac, num_buckets=num_buckets,
                           max_salt=max_salt)
     if not hot:

@@ -823,9 +823,10 @@ def q84_triangles(sf_dir: str):
     if n_edges <= TRI_BCAST_MAX:
         # broadcast closure: sorted packed directed-edge keys, probed
         # in-bucket; wedges never leave the bucket task
-        from .linkage import _concat_ds
+        from ..stages.clustering import _collect
 
-        etbl = _concat_ds(dir_edges)
+        etbl = _collect(dir_edges, pa.schema([("src", pa.int64()),
+                                              ("dst", pa.int64())]))
         pk = np.sort(np.asarray(etbl["src"], dtype=np.int64) * TRI_OFF
                      + np.asarray(etbl["dst"], dtype=np.int64))
         keys_ref = ray.put(pk)
@@ -947,9 +948,8 @@ def q89_kcore(sf_dir: str):
             ["s"], "one", "deg")
 
     for _ in range(KCORE_ROUNDS):
-        # materialize the O(nodes) kept set: hash_join's schema fetch
-        # would otherwise execute the lazy degree exchange once and the
-        # join a second time (the q75/q82 double-execution trap)
+        # materialize the O(nodes) kept set: both semi joins below
+        # stream it
         kept = _deg(cur).filter(expr=f"deg >= {KCORE_K}").materialize()
         kept_s = kept.map_batches(lambda t: pa.table({"s": t["s"]}),
                                   batch_format="pyarrow")
@@ -1539,7 +1539,7 @@ def q137_link_prediction(sf_dir: str):
     import polars as pl
 
     from ..functions.grouping import rekey_exchange
-    from .linkage import _concat_ds
+    from ..stages.clustering import _collect
 
     edges = _copurchase_edges(sf_dir).materialize()
     sym = edges.map_batches(
@@ -1599,7 +1599,8 @@ def q137_link_prediction(sf_dir: str):
         # broadcast anti-filter: sorted packed edge keys shipped once
         # (`ray.put`), probed with searchsorted inside the pk bucket —
         # the q84 closure device
-        etbl = _concat_ds(edges)
+        etbl = _collect(edges, pa.schema([("a", pa.int64()),
+                                          ("b", pa.int64())]))
         edge_keys = np.sort(
             np.asarray(etbl["a"], dtype=np.int64) * TRI_OFF
             + np.asarray(etbl["b"], dtype=np.int64))

@@ -1558,7 +1558,7 @@ def q144_transitivity_audit(sf_dir: str):
     import polars as pl
 
     from ..functions.grouping import hash_exchange, hash_join
-    from .linkage import _concat_ds
+    from ..stages.clustering import _collect
     from . import analytics as _an
     from .textops import q115_jaro_winkler_pairs
 
@@ -1618,7 +1618,8 @@ def q144_transitivity_audit(sf_dir: str):
     n_edges = pairs.count()
     if n_edges <= _an.TRI_BCAST_MAX:
         # broadcast closure probe: sorted packed edge keys shipped once
-        etbl = _concat_ds(pairs)
+        etbl = _collect(pairs, pa.schema([("a", pa.int64()),
+                                          ("b", pa.int64())]))
         edge_keys = np.sort(
             np.asarray(etbl["a"], dtype=np.int64) * MBM_OFF
             + np.asarray(etbl["b"], dtype=np.int64))

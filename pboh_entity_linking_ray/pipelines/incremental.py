@@ -55,6 +55,11 @@ from ..stages.scoring import attach_and_score
 from .linkage import LinkageResult, _cluster_cpus
 
 
+_SCORED_EDGE_SCHEMA = pa.schema([("conv_a", pa.string()),
+                                 ("conv_b", pa.string()),
+                                 ("is_match", pa.bool_())])
+
+
 class IncrementalResult:
     def __init__(self, new_features, features, pairs, scored, matches,
                  clusters, region):
@@ -137,11 +142,6 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
         "inc_pairs",
         lambda: dedup_pairs(make_pairs(new_blocked, cfg, num_buckets=nb,
                                        old_blocked=old_blocked), nb))
-    if not runner.root:
-        # resolve once: the attach consumes pairs twice (skew-defense
-        # detection pass + the join itself) and would re-run the whole
-        # pair pipeline per consumer when lazy
-        pairs = pairs.materialize()
 
     feats_all = old_features.union(new_features)
     scored = runner.run(
@@ -152,8 +152,11 @@ def run_incremental(base: LinkageResult, new_turns: ray.data.Dataset,
         scored = scored.materialize()
     matches = scored.filter(expr="is_match")
 
-    rc = recluster(base.clusters, matches.select_columns(["conv_a", "conv_b"]),
-                   new_ids)
+    # the match edges are filtered on the driver: Ray's filter emits a
+    # zero-column block for every block without a match
+    m = _collect(scored, _SCORED_EDGE_SCHEMA)
+    rc = recluster(base.clusters, ray.data.from_arrow(
+        m.filter(m["is_match"]).drop_columns(["is_match"])), new_ids)
     clusters = runner.run("inc_clusters", rc.assignments)
 
     return IncrementalResult(new_features, feats_all, pairs, scored, matches,

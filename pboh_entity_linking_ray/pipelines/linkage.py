@@ -29,6 +29,9 @@ from ..stages.clustering import _collect, cluster_matches
 from ..stages.featurize import STEM_SCHEMA, build_stem_map, featurize
 from ..stages.scoring import BroadcastStats, attach_and_score
 from ..stages.stats import (
+    PAIR_STATS_SCHEMA,
+    PRIOR_SCHEMA,
+    TOKEN_STATS_SCHEMA,
     build_entity_prior_from_docs,
     build_pair_stats,
     build_token_stats,
@@ -40,16 +43,6 @@ def _cluster_cpus() -> int:
     """CPUs of the Ray cluster: the floor of every exchange's bucket
     count (``buckets_for``)."""
     return int(ray.cluster_resources().get("CPU", 1))
-
-
-def _concat_ds(ds: ray.data.Dataset) -> pa.Table:
-    """Driver-side collect of a small Dataset as ONE Arrow table —
-    straight block concat (combine_chunks for dense numpy views), no
-    pandas round-trip (`to_pandas` on a 2M-row table measured 3-4x the
-    cost of the concat it wraps)."""
-    all_blocks = ray.get(ds.to_arrow_refs())
-    blocks = [b for b in all_blocks if b.num_rows] or all_blocks[:1]
-    return pa.concat_tables(blocks, promote_options="default").combine_chunks()
 
 
 def score_histogram(scored: ray.data.Dataset, bins: int = 20) -> list[int]:
@@ -153,8 +146,9 @@ def run_linkage(
         """pair_stats residue ≥ floor → driver table (pair, count); the
         filter runs distributed so the driver only ever sees the bounded
         broadcast-budget residue."""
-        t = _concat_ds(ds.filter(expr=f"{val} >= {floor}")
-                       .select_columns(["pair", val]))
+        t = _collect(ds.filter(expr=f"{val} >= {floor}"),
+                     pa.schema([PAIR_STATS_SCHEMA.field("pair"),
+                                PAIR_STATS_SCHEMA.field(val)]))
         return pa.table({"pair": t["pair"], "count": t[val]})
 
     blocked = add_block_keys(features, cfg)
@@ -166,9 +160,10 @@ def run_linkage(
     # sequential (16 CPUs / 250k convs), and collects from two driver
     # threads sometimes aborted the process in Ray 2.49's core
     # (reference_count.cc check failure after a task cancellation)
-    tok_tbl = _concat_ds(token_stats.filter(expr="df >= 2 or occ >= 2"))
+    tok_tbl = _collect(token_stats.filter(expr="df >= 2 or occ >= 2"),
+                       TOKEN_STATS_SCHEMA)
     # conc_e4 == 10000 is the scorer's missing-entity default → drop
-    prior_tbl = _concat_ds(prior.filter(expr="conc_e4 < 10000"))
+    prior_tbl = _collect(prior.filter(expr="conc_e4 < 10000"), PRIOR_SCHEMA)
     # the pair-stats table stays DISTRIBUTED: only the ≥-floor residues
     # are ever collected (below); at bench scale the unfloored table is
     # 23M rows — a driver collect of it was the r1 verdict's "unbounded
@@ -195,6 +190,8 @@ def run_linkage(
     # front); only the wcooc residue needs a second, filtered scan once
     # the floor search finishes — 2 passes total instead of 3.
     _HIST_CAP = 1 << 20
+    _HIST_COOC_SCHEMA = pa.schema([("kind", pa.int8()), ("k", pa.int64()),
+                                   ("v", pa.int64())])
     _min_floor = cfg.cooc_min_count
 
     def _hist_and_cooc(t: pa.Table) -> pa.Table:
@@ -211,8 +208,9 @@ def run_linkage(
         return pa.table({"kind": pa.array(kind, type=pa.int8()),
                          "k": pa.array(ks), "v": pa.array(vs)})
 
-    fused = _concat_ds(
-        pair_ds.map_batches(_hist_and_cooc, batch_format="pyarrow"))
+    fused = _collect(
+        pair_ds.map_batches(_hist_and_cooc, batch_format="pyarrow"),
+        _HIST_COOC_SCHEMA)
     kinds = np.asarray(fused["kind"])
     f_k = np.asarray(fused["k"])
     f_v = np.asarray(fused["v"])

@@ -1491,9 +1491,7 @@ def q38_shipping_priority(sf_dir: str):
                 filter=pads.field("o_orderdate") < cutoff)
 
     def o_project(t: pa.Table) -> pa.Table:
-        # explicit map projection: lazy select/rename on an exchange
-        # output doesn't propagate into Dataset.schema(), which the next
-        # hash_join derives its output fields from
+        # explicit map projection + rename in one pass
         return pa.table({"l_orderkey": t["o_orderkey"],
                          "o_orderdate": t["o_orderdate"],
                          "o_orderpriority": t["o_orderpriority"]})
@@ -1836,8 +1834,7 @@ def q82_event_type_freq(sf_dir: str):
     events = _t(sf_dir, "events", ["event_id", "user_id", "event_type"])
     counts = (events.groupby(["user_id", "event_type"])
               .aggregate(Count(alias_name="type_count")))
-    # materialized: the join's schema fetch would otherwise execute the
-    # lazy aggregate once and the exchange re-execute it (q75 note)
+    # materialized: the aggregate runs once, before the join streams it
     return hash_join(events, counts.materialize(),
                      ["user_id", "event_type"])
 

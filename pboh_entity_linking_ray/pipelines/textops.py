@@ -766,8 +766,8 @@ def q96_pmi_pairs(sf_dir: str):
                                      batch_format="pyarrow",
                                      batch_size=512).materialize()
 
-    # materialized: hash_join's schema fetch would execute the lazy
-    # mining chain once and the join a second time (q75/q82 trap)
+    # materialized: the pair counts are read by the count below and
+    # by the join
     shared = hash_exchange(rows, "doc_id", _pairs_bucket)
     pairs = bucketed_sum(shared, ["tok_a", "tok_b"], "n_p", "n_p") \
         .filter(expr=f"n_p >= {FREQ_PAIR_MIN}").materialize()
@@ -790,8 +790,8 @@ def q96_pmi_pairs(sf_dir: str):
                              f"df_{side}": pa.array([], type=pa.int64())})
         return pa.table({f"tok_{side}": t["tok"], f"df_{side}": t["df"]})
 
-    # explicit map_batches projections: lazy rename does not propagate
-    # into Dataset.schema(), which hash_join derives output fields from
+    # explicit map_batches projections (each side's empty shape is
+    # declared in _as_side)
     df_a = df.map_batches(lambda t: _as_side(t, "a"), batch_format="pyarrow")
     df_b = df.map_batches(lambda t: _as_side(t, "b"), batch_format="pyarrow")
 

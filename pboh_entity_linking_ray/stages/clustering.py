@@ -32,11 +32,13 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..functions.grouping import dedup_keep_first, hash_exchange
+from ..functions.grouping import (_stream_block_refs, dedup_keep_first,
+                                  hash_exchange)
 from ..state.checkpoint import private_build
 
 _EDGE_SCHEMA = pa.schema([("u", pa.string()), ("v", pa.string())])
 _LABEL_SCHEMA = pa.schema([("conv_id", pa.string()), ("cluster_id", pa.string())])
+_MATCH_SCHEMA = pa.schema([("conv_a", pa.string()), ("conv_b", pa.string())])
 
 
 def _doubled(edges: ray.data.Dataset) -> ray.data.Dataset:
@@ -127,14 +129,21 @@ def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
     block refs keeps the logical plan flat across iterations (a plain
     ``materialize()`` chains plans round after round until the planner
     recurses past Python's stack limit)."""
-    return ray.data.from_arrow_refs(ds.materialize().to_arrow_refs())
+    return ray.data.from_arrow_refs(
+        ds.materialize().to_arrow_refs()).materialize()
 
 
 def _collect(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
-    """Driver-side collect of a SMALL Dataset as one ``schema`` table (a
-    fully-empty Ray map output has ZERO columns)."""
+    """Driver-side collect of a SMALL Dataset as one ``schema`` table:
+    the block refs come from the stream the exchange reads
+    (``_stream_block_refs``), so no schema is fetched, and each block is
+    projected and cast to the declared ``schema`` (a fully-empty Ray map
+    output has ZERO columns; pandas blocks are converted)."""
+    blocks = [b if isinstance(b, pa.Table)
+              else pa.Table.from_pandas(b, preserve_index=False)
+              for b in ray.get([r for r, _ in _stream_block_refs(ds)])]
     blocks = [b.select(schema.names).cast(schema)
-              for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+              for b in blocks if b.num_rows]
     return (pa.concat_tables(blocks).combine_chunks() if blocks
             else schema.empty_table())
 
@@ -364,10 +373,8 @@ def recluster(prior: ray.data.Dataset, match_edges: ray.data.Dataset,
     member to the least one.  A changed id's own prior row is dropped
     (upsert: its new matches alone place it); with only new ids this is
     exactly CC over prior label edges ∪ match edges."""
-    edges = _collect(match_edges.map_batches(
-        lambda t: pa.table({"u": t["conv_a"], "v": t["conv_b"]})
-        if t.num_rows else _EDGE_SCHEMA.empty_table(),
-        batch_format="pyarrow"), _EDGE_SCHEMA)
+    edges = _collect(match_edges, _MATCH_SCHEMA) \
+        .rename_columns(_EDGE_SCHEMA.names)
     keys = pc.unique(pa.chunked_array(
         [changed, *edges["u"].chunks, *edges["v"].chunks], pa.string()))
     touched = pc.unique(_collect(rows_in(prior, "conv_id", keys, True),

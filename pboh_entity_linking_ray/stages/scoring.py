@@ -39,6 +39,7 @@ from ..config import PipelineConfig, ScorerWeights
 from ..functions.logodds import HashLookup, npmi_pairwise, rho_idf
 from ..functions.hashing import pack_pairs_np
 from ..functions.similarity import jaro_winkler_batch
+from .blocking import _PAIR_SCHEMA
 
 _SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -201,9 +202,8 @@ def _attach(pairs: ray.data.Dataset, features: ray.data.Dataset,
     single bucket task.  Output is identical either way (skew_join
     contract); the defense costs one sampled scan of the key column per
     join.  A pair set of zero-column empty blocks (Ray's output for an
-    all-empty map) passes through as the empty result."""
-    if pairs.schema() is None:
-        return pairs
+    all-empty map) streams no schema, so both joins return it as the
+    empty result."""
     feats = features.select_columns(["conv_id", "jw_text", "tokens"]) \
         .map_batches(_pack_tokens_binary, batch_format="pyarrow")
     fa = feats.rename_columns({"conv_id": "conv_a", "jw_text": "jw_a",
@@ -211,9 +211,11 @@ def _attach(pairs: ray.data.Dataset, features: ray.data.Dataset,
     fb = feats.rename_columns({"conv_id": "conv_b", "jw_text": "jw_b",
                                "tokens": "tokens_b"})
     # pair_key is derivable from (conv_a, conv_b): drop it before the two
-    # exchanges and let the scorer re-emit it (~35 B/row × 2 joins saved)
+    # exchanges and let the scorer re-emit it (~35 B/row × 2 joins
+    # saved); resolved once, since the left side is read twice (the
+    # skew detection pass and the join)
     skinny = pairs.select_columns(
-        [c for c in pairs.schema().names if c != "pair_key"])
+        [c for c in _PAIR_SCHEMA.names if c != "pair_key"]).materialize()
     from ..functions.grouping import adaptive_skew_join
 
     # barrier between the exchanges: the second join's map side starts
@@ -399,10 +401,8 @@ class PairScorer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        # drop feature cols AND any null-padded pair_key the join added:
-        # on an EMPTY exchange output a lazy select_columns does not
-        # propagate into Dataset.schema() (CLAUDE.md trap), so the join
-        # aligns the stale schema and null-pads the column we re-emit
+        # drop feature cols AND any pair_key the input still carries
+        # (the attach drops it; the scorer re-emits it)
         drop = [c for c in (*_FEATURE_COLS, "pair_key")
                 if c in batch.column_names]
         n = batch.num_rows

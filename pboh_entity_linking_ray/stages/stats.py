@@ -30,6 +30,15 @@ from ..config import PipelineConfig
 from ..functions.hashing import pack_pairs_np
 from .featurize import TOKEN_HASH_SEED
 
+# declared output schemas of the flagship stats builds (driver collects
+# cast to them instead of fetching a schema)
+TOKEN_STATS_SCHEMA = pa.schema([("token_hash", pa.int64()),
+                                ("df", pa.int64()), ("occ", pa.int64())])
+PAIR_STATS_SCHEMA = pa.schema([("pair", pa.int64()),
+                               ("count_conv", pa.int64()),
+                               ("count_win", pa.int64())])
+PRIOR_SCHEMA = pa.schema([("entity", pa.int64()), ("conc_e4", pa.int64())])
+
 COOC_TOKEN_CAP = 16  # bottom-k sample of tokens entering the per-conv
                      # co-occurrence cross product (bounds the pair shuffle
                      # to C(16,2)=120 rows/conv; the reference instead caps

@@ -11,10 +11,11 @@ import ray.data
 
 from pboh_entity_linking_ray.config import PipelineConfig
 from pboh_entity_linking_ray.functions import grouping
-from pboh_entity_linking_ray.pipelines.linkage import _concat_ds
 from pboh_entity_linking_ray.sources.synthetic import generate_corpus
 from pboh_entity_linking_ray.stages.canonicalize import canonicalize
-from pboh_entity_linking_ray.stages.featurize import (build_stem_map,
+from pboh_entity_linking_ray.stages.clustering import _collect
+from pboh_entity_linking_ray.stages.featurize import (STEM_SCHEMA,
+                                                      build_stem_map,
                                                       featurize)
 from pboh_entity_linking_ray.stages import scoring
 
@@ -24,7 +25,8 @@ def feats_and_skewed_pairs(ray_session):
     cfg = PipelineConfig()
     c = generate_corpus(50, 7)
     docs = canonicalize(ray.data.from_arrow(c.turns), 8).materialize()
-    stem_ref = ray.put(_concat_ds(build_stem_map(docs, cfg, num_buckets=8)))
+    stem_ref = ray.put(_collect(build_stem_map(docs, cfg, num_buckets=8),
+                               STEM_SCHEMA))
     feats = featurize(docs, cfg, stem_ref).materialize()
     convs = sorted(feats.to_pandas()["conv_id"])
     hot = convs[0]

@@ -78,8 +78,9 @@ def test_joins_agree_with_pandas(ray_session, how, lk, rk):
             assert len(got_df) == 0, name
             continue
         # a schema-less EMPTY right side degrades the output schema
-        # (right columns unknowable — documented _empty_side_fallback
-        # contract); reindex fills them with the nulls pandas produces
+        # (right columns unknowable — the documented schema-less-side
+        # contract of grouping._join); reindex fills them with the nulls
+        # pandas produces
         got_df = got_df.reindex(columns=want.columns.tolist())
         pd.testing.assert_frame_equal(got_df, want, check_dtype=False,
                                       obj=name)
@@ -168,7 +169,7 @@ def test_skew_join_string_keys_and_flat_fallback(ray_session):
 
 def test_skew_and_salted_join_tolerate_fully_filtered_blocks(ray_session):
     """Ray map operators emit zero-COLUMN empty blocks when a task's
-    input has no rows; skew_join/salted_join's align stages must pass
+    input has no rows; skew_join/salted_join's per-side preps must pass
     them through instead of crashing on t[on] (CLAUDE.md rule)."""
     ldf = pd.DataFrame({"k": np.array([1, 1, 2, 3], dtype="int64"),
                         "lv": np.arange(4, dtype="int64")})
@@ -247,7 +248,7 @@ def test_all_primitives_tolerate_fully_filtered_blocks(ray_session):
         ldf.merge(small.to_pandas(), on="k")))
     pd.testing.assert_frame_equal(bj, want_bj, check_dtype=False)
 
-    # asof_join / interval_join (aligned unions null-pad internally)
+    # asof_join / interval_join (the two-sided join intake)
     aj = asof_join(with_empties(ldf[["k", "t", "v"]]),
                    with_empties(rdf[["k", "t", "s"]]), "k", "t")
     assert aj.count() == len(ldf)
@@ -274,3 +275,84 @@ def test_all_primitives_tolerate_fully_filtered_blocks(ray_session):
     got = rp.sort_values("t").reset_index(drop=True)
     assert (got["cum_before"].to_numpy()
             == want_rp["cum_before"].to_numpy()).all()
+
+
+def _no_schema(df: pd.DataFrame):
+    """A side built only from zero-COLUMN blocks: a map that empties
+    every block (the ``drop_all`` pattern, dropping the columns too), so
+    the stream carries no schema at all."""
+    return (ray.data.from_arrow(pa.Table.from_pandas(df)).repartition(2)
+            .map_batches(lambda t: pa.table({}), batch_format="pyarrow"))
+
+
+@pytest.mark.parametrize("impl", ["hash", "salted", "skew", "adaptive"])
+def test_schema_less_side_keeps_fallback_contract(ray_session, impl):
+    """One side with no schema has no rows: with no left schema every
+    how but "full" yields no rows and "full" yields the right side as it
+    is; with no right schema inner/semi keep no left row and left/anti/
+    full keep every one, with the left columns only."""
+    ldf = pd.DataFrame({"k": np.array([1, 2, 2], dtype="int64"),
+                        "lv": np.arange(3, dtype="int64")})
+    rdf = pd.DataFrame({"k": np.array([2, 3], dtype="int64"),
+                        "rv": np.array([20, 30], dtype="int64")})
+    join = {
+        "hash": lambda l, r, how: hash_join(l, r, "k", 8, how),
+        "salted": lambda l, r, how: salted_join(l, r, "k", 3, 8, how),
+        "skew": lambda l, r, how: skew_join(l, r, "k", {2: 3}, 8, how),
+        "adaptive": lambda l, r, how: adaptive_skew_join(
+            l, r, "k", 8, how, sample_frac=1.0, hot_frac=0.01),
+    }[impl]
+    hows = ["inner", "left", "semi", "anti"] + \
+        (["full"] if impl in ("hash", "adaptive") else [])
+    for how in hows:
+        left = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(2)
+        right = ray.data.from_arrow(pa.Table.from_pandas(rdf))
+        got = _norm(join(_no_schema(ldf), right, how))
+        if how == "full":
+            pd.testing.assert_frame_equal(got, _norm(right),
+                                          check_dtype=False, obj=how)
+        else:
+            assert len(got) == 0, how
+        got = _norm(join(left, _no_schema(rdf), how))
+        if how in ("inner", "semi"):
+            assert len(got) == 0, how
+        else:
+            assert list(got.columns) == ["k", "lv"], how
+            pd.testing.assert_frame_equal(got, _norm(left),
+                                          check_dtype=False, obj=how)
+
+
+@pytest.mark.parametrize("join", [
+    lambda l, r: salted_join(l, r, "k", salt=3),
+    lambda l, r: skew_join(l, r, "k", {1: 3}),
+    lambda l, r: hash_join(l, r, "k"),
+])
+def test_salted_and_skew_join_reject_collision_at_call(ray_session, join):
+    l = ray.data.from_arrow(pa.table({"k": [1], "v": [1]}))
+    r = ray.data.from_arrow(pa.table({"k": [1], "v": [2]}))
+    with pytest.raises(ValueError, match="collision"):
+        join(l, r)
+
+
+@pytest.mark.parametrize("how", ["inner", "left", "semi", "anti", "full"])
+def test_two_round_join_equals_flat(ray_session, monkeypatch, how):
+    """The hierarchical two-round exchange (forced for every bucket
+    count) gives the flat exchange's join output, salted too."""
+    from pboh_entity_linking_ray.functions import grouping
+
+    rng = np.random.default_rng(3)
+    ldf = pd.DataFrame({"k": rng.integers(0, 60, 300).astype("int64"),
+                        "lv": np.arange(300, dtype="int64")})
+    rdf = pd.DataFrame({"k": np.arange(0, 50, dtype="int64"),
+                        "rv": np.arange(50, dtype="int64") * 10})
+    left = ray.data.from_arrow(pa.Table.from_pandas(ldf)).repartition(5)
+    right = ray.data.from_arrow(pa.Table.from_pandas(rdf)).repartition(3)
+    flat = _norm(hash_join(left, right, "k", 16, how))
+    monkeypatch.setattr(grouping, "TWO_ROUND_THRESHOLD", 0)
+    pd.testing.assert_frame_equal(_norm(hash_join(left, right, "k", 16, how)),
+                                  flat)
+    if how != "full":
+        pd.testing.assert_frame_equal(
+            _norm(skew_join(left, right, "k", {1: 4, 2: 3}, 16, how)), flat)
+    pd.testing.assert_frame_equal(flat, _ref(ldf, rdf, how),
+                                  check_dtype=False)
