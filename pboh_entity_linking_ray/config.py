@@ -77,22 +77,6 @@ class PipelineConfig:
                                      # transcripts are denser, so smaller)
     ctx_stream_cap: int = 256        # ordered-stream tokens kept per conv
                                      # for the window statistics build
-    # --- stats (broadcast-size bounds; reference analog: the
-    # min-word-count-20 floor of context/WordFreqPerCorpus.scala:38) ---
-    cooc_min_count: int = 2     # co-occurrence count floor for the broadcast
-                                # table; sub-floor pairs fall back to the
-                                # scorer's missing-pair default (0)
-    wcooc_max_pairs: int = 2_000_000  # windowed-cooc broadcast budget: the
-                                # count floor is raised (deterministically,
-                                # ties kept) until the table fits — template
-                                # corpora repeat token windows across every
-                                # duplicate, ballooning the raw table ~7× the
-                                # conv-level one (measured 21M rows at 250k)
-    prior_sample_mod: int = 10  # mention-prior statistics are built from a
-                                # 1/mod deterministic hash sample of convs —
-                                # a concentration table needs no exhaustive
-                                # scan (the reference samples training data
-                                # the same way, Learning.scala:128)
     # --- execution ---
     scorer_batch_size: int = 4096
     rows_per_bucket: int = 25_000   # exchange sizing (functions/grouping.py:

@@ -1,8 +1,8 @@
 """The flagship end-to-end linkage pipeline.
 
-read turns → canonicalize → featurize → stats (vocab, cooc) → block →
-pair-gen (salted) → dedup → attach + score (task pool fused into the
-second attach join's buckets) → cluster → eval.
+read turns → canonicalize → featurize → stats (token, pair, prior →
+broadcast) → block → pair-gen (salted) → dedup → attach + score (task
+pool fused into the second attach join's buckets) → cluster → eval.
 
 Every ``→`` is an optional Parquet checkpoint with a lineage manifest
 (state/checkpoint.py); passing ``checkpoint_root=None`` keeps the whole
@@ -27,11 +27,11 @@ from ..stages.blocking import add_block_keys, dedup_pairs, make_pairs
 from ..stages.canonicalize import canonicalize
 from ..stages.clustering import _collect, cluster_matches
 from ..stages.featurize import STEM_SCHEMA, build_stem_map, featurize
-from ..stages.scoring import BroadcastStats, attach_and_score
+from ..stages.scoring import attach_and_score
 from ..stages.stats import (
-    PAIR_STATS_SCHEMA,
-    PRIOR_SCHEMA,
-    TOKEN_STATS_SCHEMA,
+    COOC_MIN_COUNT,
+    PRIOR_SAMPLE_MOD,
+    broadcast_stats,
     build_entity_prior_from_docs,
     build_pair_stats,
     build_token_stats,
@@ -117,7 +117,7 @@ def run_linkage(
 
     # fused stats builds: token-level (vocab df + stream occ) and
     # pair-level (conv cooc + window cooc) each cost ONE pass over
-    # features and ONE exchange (stages/stats.py fused partials)
+    # features and ONE exchange (stages/stats.py)
     token_stats = runner.run(
         "token_stats", lambda: build_token_stats(features, num_buckets=nb))
     # emit_min pushes the broadcast floor INTO the aggregating shuffle
@@ -125,120 +125,30 @@ def run_linkage(
     # before any downstream pass or checkpoint write
     pair_stats = runner.run(
         "pair_stats",
-        lambda: build_pair_stats(features, cfg, emit_min=cfg.cooc_min_count,
+        lambda: build_pair_stats(features, cfg, emit_min=COOC_MIN_COUNT,
                                  num_buckets=nb))
     prior = runner.run(
         "entity_prior",
-        lambda: build_entity_prior_from_docs(conv_docs,
-                                             cfg.prior_sample_mod,
+        lambda: build_entity_prior_from_docs(conv_docs, PRIOR_SAMPLE_MOD,
                                              num_buckets=nb))
-
-    # stats are the small side: PRUNE in the dataset, then collect the
-    # residue driver-side and broadcast.  df==1 tokens can never be shared
-    # by a pair (one conv holds them) and the scorer's missing-token
-    # default IS df=1, so the vocab filter is exact; cooc pairs below the
-    # count floor collapse to the scorer's missing-pair default of 0 —
-    # at 100 TB these filters are what keep the broadcast bounded
-    # (reference analog: the min-word-count-20 floor of
-    # context/WordFreqPerCorpus.scala:38 and the freq>=3 load filter of
-    # index/WordEntityProbsIndex.scala:104).
-    def _collect_view(ds, val: str, floor: int) -> pa.Table:
-        """pair_stats residue ≥ floor → driver table (pair, count); the
-        filter runs distributed so the driver only ever sees the bounded
-        broadcast-budget residue."""
-        t = _collect(ds.filter(expr=f"{val} >= {floor}"),
-                     pa.schema([PAIR_STATS_SCHEMA.field("pair"),
-                                PAIR_STATS_SCHEMA.field(val)]))
-        return pa.table({"pair": t["pair"], "count": t[val]})
-
-    blocked = add_block_keys(features, cfg)
-    pairs_raw = make_pairs(blocked, cfg, num_buckets=nb)
-    pairs_lazy = dedup_pairs(pairs_raw, num_buckets=nb)
 
     # distributed jobs run ONE AT A TIME with the whole cluster: running
     # pair generation concurrently with pair-stats measured 67 s vs 39 s
     # sequential (16 CPUs / 250k convs), and collects from two driver
     # threads sometimes aborted the process in Ray 2.49's core
-    # (reference_count.cc check failure after a task cancellation)
-    tok_tbl = _collect(token_stats.filter(expr="df >= 2 or occ >= 2"),
-                       TOKEN_STATS_SCHEMA)
-    # conc_e4 == 10000 is the scorer's missing-entity default → drop
-    prior_tbl = _collect(prior.filter(expr="conc_e4 < 10000"), PRIOR_SCHEMA)
-    # the pair-stats table stays DISTRIBUTED: only the ≥-floor residues
-    # are ever collected (below); at bench scale the unfloored table is
-    # 23M rows — a driver collect of it was the r1 verdict's "unbounded
-    # stats pull" failure mode
-    pair_ds = pair_stats if runner.root else pair_stats.materialize()
-    pairs_mat = None if runner.root else pairs_lazy.materialize()
+    # (reference_count.cc check failure after a task cancellation).
+    # broadcast_stats scans the pair stats twice: without Parquet
+    # checkpoints they are pinned for it, with them each scan re-reads
+    stats = broadcast_stats(
+        token_stats, pair_stats if runner.root else pair_stats.materialize(),
+        prior, n_convs)
 
-    def _view(tbl: pa.Table, key: str, val: str, out: str,
-              floor: int) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = tbl.filter(pc.greater_equal(tbl[val], floor))
-        return pa.table({key: t[key], out: t[val]})
-
-    vocab_tbl = _view(tok_tbl, "token_hash", "df", "df", 2)
-    wfreq_tbl = _view(tok_tbl, "token_hash", "occ", "occ", 2)
-
-    # windowed cooc under a broadcast budget: raise the count floor until
-    # the table fits (deterministic — whole tie levels kept).  The floor
-    # search runs over a DISTRIBUTED histogram of count_win (nonzero bins
-    # only — O(distinct counts) rows reach the driver, never O(pairs)).
-    # ONE fused scan of the 23M-row pair-stats table yields BOTH the
-    # histogram rows and the conv-cooc residue (its floor is known up
-    # front); only the wcooc residue needs a second, filtered scan once
-    # the floor search finishes — 2 passes total instead of 3.
-    _HIST_CAP = 1 << 20
-    _HIST_COOC_SCHEMA = pa.schema([("kind", pa.int8()), ("k", pa.int64()),
-                                   ("v", pa.int64())])
-    _min_floor = cfg.cooc_min_count
-
-    def _hist_and_cooc(t: pa.Table) -> pa.Table:
-        wc = np.minimum(np.asarray(t["count_win"], dtype=np.int64), _HIST_CAP)
-        h = np.bincount(wc)
-        nz = np.flatnonzero(h)
-        cc = np.asarray(t["count_conv"], dtype=np.int64)
-        keep = cc >= _min_floor
-        pk = np.asarray(t["pair"], dtype=np.int64)[keep]
-        kind = np.concatenate([np.zeros(len(nz), dtype=np.int8),
-                               np.ones(len(pk), dtype=np.int8)])
-        ks = np.concatenate([nz.astype(np.int64), pk])
-        vs = np.concatenate([h[nz].astype(np.int64), cc[keep]])
-        return pa.table({"kind": pa.array(kind, type=pa.int8()),
-                         "k": pa.array(ks), "v": pa.array(vs)})
-
-    fused = _collect(
-        pair_ds.map_batches(_hist_and_cooc, batch_format="pyarrow"),
-        _HIST_COOC_SCHEMA)
-    kinds = np.asarray(fused["kind"])
-    f_k = np.asarray(fused["k"])
-    f_v = np.asarray(fused["v"])
-    hist_bins, hist_cnts = f_k[kinds == 0], f_v[kinds == 0]
-    hist = np.zeros(_HIST_CAP + 1, dtype=np.int64)
-    np.add.at(hist, hist_bins, hist_cnts)
-    floor = cfg.cooc_min_count
-    if hist[floor:].sum() > cfg.wcooc_max_pairs:
-        tail = np.cumsum(hist[::-1])[::-1]     # tail[c] = #pairs count>=c
-        floor = int(np.searchsorted(-tail, -cfg.wcooc_max_pairs))
-        floor = max(floor, cfg.cooc_min_count)
-    if len(hist_bins) and int(hist_bins.max()) >= _HIST_CAP \
-            and hist[_HIST_CAP] > 0:
-        # packed-lane combiner bound (stats.py): counts near 2^31 would
-        # carry between lanes — surface loudly rather than corrupt
-        import warnings
-        warnings.warn("count_win at histogram cap; verify packed-lane "
-                      "bound (build_pair_stats) for this corpus")
-
-    cooc_tbl = pa.table({"pair": pa.array(f_k[kinds == 1]),
-                         "count": pa.array(f_v[kinds == 1])})
-    wcooc_tbl = _collect_view(pair_ds, "count_win", floor)
-    stats = BroadcastStats.from_tables(vocab_tbl, cooc_tbl, n_convs,
-                                       wfreq_tbl, wcooc_tbl, prior_tbl)
-
+    blocked = add_block_keys(features, cfg)
+    pairs_raw = make_pairs(blocked, cfg, num_buckets=nb)
+    pairs_lazy = dedup_pairs(pairs_raw, num_buckets=nb)
     # skinny pair rows: dedup is a cheap bucketed keep-first
-    pairs = (pairs_mat if pairs_mat is not None
-             else runner.run("pairs", lambda: pairs_lazy))
+    pairs = (runner.run("pairs", lambda: pairs_lazy) if runner.root
+             else pairs_lazy.materialize())
     if runner.root:
         # salting accounting (north_rule: no silent drops): exact count of
         # non-emitted pairs, summed from the raw first-row markers

@@ -133,15 +133,29 @@ def _pin(ds: ray.data.Dataset) -> ray.data.Dataset:
         ds.materialize().to_arrow_refs()).materialize()
 
 
+@ray.remote
+def _project(block, names: list[str]) -> pa.Table:
+    """A block narrowed to ``names`` where it lives (``_collect``)."""
+    if not isinstance(block, pa.Table):
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    return block.select(names)
+
+
 def _collect(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
     """Driver-side collect of a SMALL Dataset as one ``schema`` table:
     the block refs come from the stream the exchange reads
-    (``_stream_block_refs``), so no schema is fetched, and each block is
-    projected and cast to the declared ``schema`` (a fully-empty Ray map
-    output has ZERO columns; pandas blocks are converted)."""
+    (``_stream_block_refs``), so no schema is fetched; a block wider
+    than ``schema`` is projected by a task before the fetch, so only the
+    declared columns reach the driver, and each block is cast to the
+    declared ``schema`` (a fully-empty Ray map output has ZERO columns;
+    pandas blocks are converted)."""
+    names = set(schema.names)
+    refs = [_project.remote(r, schema.names)
+            if sch is not None and set(sch.names) - names else r
+            for r, sch in _stream_block_refs(ds)]
     blocks = [b if isinstance(b, pa.Table)
               else pa.Table.from_pandas(b, preserve_index=False)
-              for b in ray.get([r for r, _ in _stream_block_refs(ds)])]
+              for b in ray.get(refs)]
     blocks = [b.select(schema.names).cast(schema)
               for b in blocks if b.num_rows]
     return (pa.concat_tables(blocks).combine_chunks() if blocks

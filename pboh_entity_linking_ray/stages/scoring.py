@@ -55,67 +55,34 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class BroadcastStats:
-    """Hash-probe views of the stats tables (vocab df + cooc counts).
+    """Hash-probe views of the five broadcast stats tables, built by
+    ``stages/stats.py:broadcast_stats``.
 
-    Key columns arrive bit-cast int64 (Ray groupby-key constraint, see
-    stages/stats.py); every lookup key is bit-cast the same way.  Each
-    table is a ``HashLookup`` (vectorized C hash probe) whose table
+    Each table holds two int64 columns, key then value: ``vocab`` token
+    → df, ``cooc`` packed pair → conversation count, ``wfreq`` token →
+    stream occurrences, ``wcooc`` packed pair → window count, ``prior``
+    entity → conc_e4.  Packed pair keys arrive bit-cast int64 (the
+    exchange-key constraint); every lookup key is bit-cast the same way.
+    Each table is a ``HashLookup`` (vectorized C hash probe) whose table
     builds lazily on first probe in each worker — measured 11× over the
     previous sorted-array searchsorted on the cooc tables, whose random
     binary-search cache misses dominated the scorer
     (functions/logodds.py:HashLookup).
     """
 
-    @staticmethod
-    def _as_i64(keys: np.ndarray) -> np.ndarray:
-        return (np.ascontiguousarray(keys).view(np.int64)
-                if keys.dtype == np.uint64 else keys.astype(np.int64))
+    def __init__(self, vocab: pa.Table, cooc: pa.Table, wfreq: pa.Table,
+                 wcooc: pa.Table, prior: pa.Table, n_docs: int):
+        def mk(t: pa.Table) -> HashLookup:
+            return HashLookup(np.asarray(t.column(0), dtype=np.int64),
+                              np.asarray(t.column(1), dtype=np.int64))
 
-    def __init__(self, vocab_hash: np.ndarray, vocab_df: np.ndarray,
-                 cooc_key: np.ndarray, cooc_count: np.ndarray, n_docs: int,
-                 wfreq_hash: np.ndarray | None = None,
-                 wfreq_occ: np.ndarray | None = None,
-                 wcooc_key: np.ndarray | None = None,
-                 wcooc_count: np.ndarray | None = None,
-                 prior_entity: np.ndarray | None = None,
-                 prior_conc_e4: np.ndarray | None = None):
-        e = np.empty(0, dtype=np.int64)
-
-        def mk(k, v) -> HashLookup:
-            k = self._as_i64(k if k is not None else e)
-            v = np.asarray(v if v is not None else e).astype(np.int64)
-            return HashLookup(k, v)
-
-        self.vocab = mk(vocab_hash, vocab_df)
-        self.cooc = mk(cooc_key, cooc_count)
-        self.wfreq = mk(wfreq_hash, wfreq_occ)
-        self.wcooc = mk(wcooc_key, wcooc_count)
-        self.prior = mk(prior_entity, prior_conc_e4)
-        self.total_occ = int(np.asarray(wfreq_occ).sum()) \
-            if wfreq_occ is not None and len(wfreq_occ) else 0
+        self.vocab = mk(vocab)
+        self.cooc = mk(cooc)
+        self.wfreq = mk(wfreq)
+        self.wcooc = mk(wcooc)
+        self.prior = mk(prior)
+        self.total_occ = int(np.asarray(wfreq.column(1), dtype=np.int64).sum())
         self.n_docs = int(n_docs)
-
-    @staticmethod
-    def from_tables(vocab: pa.Table, cooc: pa.Table, n_docs: int,
-                    wfreq: pa.Table | None = None,
-                    wcooc: pa.Table | None = None,
-                    prior: pa.Table | None = None) -> "BroadcastStats":
-        def _has(t, col):        # empty to_pandas round-trips drop schema
-            return t is not None and col in t.column_names
-
-        wfreq = wfreq if _has(wfreq, "token_hash") else None
-        wcooc = wcooc if _has(wcooc, "pair") else None
-        prior = prior if _has(prior, "entity") else None
-        return BroadcastStats(
-            np.asarray(vocab["token_hash"]), np.asarray(vocab["df"]),
-            np.asarray(cooc["pair"]), np.asarray(cooc["count"]), n_docs,
-            np.asarray(wfreq["token_hash"]) if wfreq is not None else None,
-            np.asarray(wfreq["occ"]) if wfreq is not None else None,
-            np.asarray(wcooc["pair"]) if wcooc is not None else None,
-            np.asarray(wcooc["count"]) if wcooc is not None else None,
-            np.asarray(prior["entity"]) if prior is not None else None,
-            np.asarray(prior["conc_e4"]) if prior is not None else None,
-        )
 
 
 def _bin_offsets_flat(arr) -> tuple[np.ndarray, np.ndarray]:

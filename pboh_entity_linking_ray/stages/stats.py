@@ -4,23 +4,26 @@ The reference loads pre-built TSV indexes into in-JVM Trove maps at startup
 (reference: src/main/scala/index/MentionEntitiesFrequencyIndex.scala:34-77,
 EntityCooccurrenceIndex.scala:108-170, WordFreqDict.scala:21-46).  Here the
 same statistics are *built by the pipeline itself* from the transcript
-corpus as groupby-aggregate shuffles with per-batch pre-aggregation
-(partial combine inside ``map_batches`` before the small final groupby),
-checkpointed as Parquet, and broadcast to scorer actors via ``ray.put``.
+corpus: three builds, each ONE pass over its input with per-batch
+pre-aggregation and ONE hash exchange, checkpointed as Parquet:
 
-Tables produced (FIXTURES.md §4):
-- ``vocab``         token_hash → document frequency (df) + the scalar
-                    number of conversations N  (analog of WordFreqDict)
-- ``mention_prior`` mention (raw token) → entity (stem hash) freq/total
-                    (analog of the mention→candidates index)
-- ``cooc``          packed uint64 (t1,t2) → co-conversation count
-                    (analog of EntityCooccurrenceIndex; built by
-                    groupby-aggregate instead of driver-side load)
-popularity(e) is df(e) from ``vocab`` (analog of entity popularity,
-EntityCooccurrenceIndex.scala:158-181).
+- ``build_token_stats``  token_hash → (df, occ): distinct-conversation
+  frequency (analog of WordFreqDict; popularity(e) is df(e), analog of
+  EntityCooccurrenceIndex.scala:158-181) and ordered-stream occurrences
+  (WordFreqPerCorpus.scala:34-40)
+- ``build_pair_stats``   packed (t1,t2) → (count_conv, count_win):
+  co-conversation and ±ctx_window co-counts (analog of
+  EntityCooccurrenceIndex and the p(w|e) window build)
+- ``build_entity_prior_from_docs``  entity (stem hash) → conc_e4: the
+  mention-prior concentration (analog of the mention→candidates index)
+
+``broadcast_stats`` prunes them to the scorer's five broadcast tables
+(``scoring.BroadcastStats``), which reach scorer workers via ``ray.put``.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pyarrow as pa
@@ -28,10 +31,12 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.hashing import pack_pairs_np
+from .clustering import _collect
 from .featurize import TOKEN_HASH_SEED
+from .scoring import BroadcastStats
 
-# declared output schemas of the flagship stats builds (driver collects
-# cast to them instead of fetching a schema)
+# declared output schemas of the stats builds (driver collects cast to
+# them instead of fetching a schema)
 TOKEN_STATS_SCHEMA = pa.schema([("token_hash", pa.int64()),
                                 ("df", pa.int64()), ("occ", pa.int64())])
 PAIR_STATS_SCHEMA = pa.schema([("pair", pa.int64()),
@@ -39,40 +44,27 @@ PAIR_STATS_SCHEMA = pa.schema([("pair", pa.int64()),
                                ("count_win", pa.int64())])
 PRIOR_SCHEMA = pa.schema([("entity", pa.int64()), ("conc_e4", pa.int64())])
 
+# broadcast-size bounds (reference analog: the min-word-count-20 floor of
+# context/WordFreqPerCorpus.scala:38)
+COOC_MIN_COUNT = 2      # co-occurrence count floor for the broadcast
+                        # tables; sub-floor pairs fall back to the
+                        # scorer's missing-pair default (0)
+WCOOC_MAX_PAIRS = 2_000_000  # windowed-cooc broadcast budget: the count
+                        # floor is raised (deterministically, ties kept)
+                        # until the table fits — template corpora repeat
+                        # token windows across every duplicate, ballooning
+                        # the raw table ~7× the conv-level one (measured
+                        # 21M rows at 250k)
+PRIOR_SAMPLE_MOD = 10   # the mention prior is built from a 1/mod
+                        # deterministic hash sample of convs — a
+                        # concentration table needs no exhaustive scan
+                        # (the reference samples training data the same
+                        # way, Learning.scala:128)
+
 COOC_TOKEN_CAP = 16  # bottom-k sample of tokens entering the per-conv
                      # co-occurrence cross product (bounds the pair shuffle
                      # to C(16,2)=120 rows/conv; the reference instead caps
                      # candidates at top-10, MentEntsFreqIndexWrapper.scala:53-55)
-
-
-def _token_stats_partial(batch: pa.Table) -> pa.Table:
-    """features batch → partial (token_hash, df) counts from the UNCAPPED
-    per-conv distinct token lists the featurizer already computed — no
-    re-tokenization, no re-stemming, fully vectorized."""
-    tf = batch["tokens_full"]
-    if isinstance(tf, pa.ChunkedArray):
-        tf = tf.combine_chunks()
-    flat = np.asarray(tf.flatten()).astype(np.uint32, copy=False)
-    if len(flat) == 0:
-        return pa.table({"token_hash": pa.array([], type=pa.int64()),
-                         "df_partial": pa.array([], type=pa.int64())})
-    uniq, counts = np.unique(flat, return_counts=True)
-    # 32-bit token domain fits int64 directly (see featurize.TOKEN_MASK)
-    return pa.table({
-        "token_hash": pa.array(uniq.astype(np.int64), type=pa.int64()),
-        "df_partial": pa.array(counts.astype(np.int64), type=pa.int64()),
-    })
-
-
-def build_vocab(features: ray.data.Dataset) -> ray.data.Dataset:
-    """token_hash → df (distinct-conversation frequency), from the
-    featurize output's ``tokens_full`` column."""
-    from ..functions.grouping import bucketed_sum
-
-    partial = features.map_batches(
-        _token_stats_partial, batch_format="pyarrow", batch_size=512,
-    )
-    return bucketed_sum(partial, ["token_hash"], "df_partial", "df")
 
 
 def _cooc_pair_keys(batch: pa.Table, cap: int = COOC_TOKEN_CAP) -> np.ndarray:
@@ -96,50 +88,6 @@ def _cooc_pair_keys(batch: pa.Table, cap: int = COOC_TOKEN_CAP) -> np.ndarray:
         bi = (base[:, None] + b[None, :]).ravel()
         keys.append(pack_pairs_np(flat[ai], flat[bi]))
     return (np.concatenate(keys) if keys else np.empty(0, dtype=np.uint64))
-
-
-def _cooc_partial(batch: pa.Table, cap: int = COOC_TOKEN_CAP) -> pa.Table:
-    """features batch → partial (pair_key, count) co-occurrence rows using
-    the bottom-k token sample already on the feature rows (plain function
-    → elastic task pool, see _token_stats_partial)."""
-    flat = _cooc_pair_keys(batch, cap)
-    if len(flat) == 0:
-        return pa.table({"pair": pa.array([], type=pa.int64()),
-                         "count_partial": pa.array([], type=pa.int64())})
-    uniq, counts = np.unique(flat, return_counts=True)
-    return pa.table({
-        "pair": pa.array(uniq.view(np.int64), type=pa.int64()),
-        "count_partial": pa.array(counts.astype(np.int64), type=pa.int64()),
-    })
-
-
-def build_cooc(features: ray.data.Dataset, cfg: PipelineConfig | None = None):
-    """packed (t1,t2) → number of conversations containing both tokens."""
-
-    from ..functions.grouping import bucketed_sum
-
-    partial = features.map_batches(
-        _cooc_partial, batch_format="pyarrow", batch_size=512,
-    )
-    return bucketed_sum(partial, ["pair"], "count_partial", "count")
-
-
-def _wfreq_partial(batch: pa.Table) -> pa.Table:
-    """features batch → partial (token_hash, occurrence count) over the
-    ORDERED stream (repeats counted — the corpus word-frequency analog of
-    WordFreqPerCorpus.scala:34-40, denominators of p̂(w))."""
-    st = batch["stream"]
-    if isinstance(st, pa.ChunkedArray):
-        st = st.combine_chunks()
-    flat = np.asarray(st.flatten()).astype(np.uint32, copy=False)
-    if len(flat) == 0:
-        return pa.table({"token_hash": pa.array([], type=pa.int64()),
-                         "occ_partial": pa.array([], type=pa.int64())})
-    uniq, counts = np.unique(flat, return_counts=True)
-    return pa.table({
-        "token_hash": pa.array(uniq.astype(np.int64), type=pa.int64()),
-        "occ_partial": pa.array(counts.astype(np.int64), type=pa.int64()),
-    })
 
 
 def _wcooc_pair_keys(batch: pa.Table, window: int) -> np.ndarray:
@@ -171,54 +119,33 @@ def _wcooc_pair_keys(batch: pa.Table, window: int) -> np.ndarray:
             else np.empty(0, dtype=np.uint64))
 
 
-def _wcooc_partial(batch: pa.Table, window: int) -> pa.Table:
-    flatk = _wcooc_pair_keys(batch, window)
-    if len(flatk) == 0:
-        return pa.table({"pair": pa.array([], type=pa.int64()),
-                         "count_partial": pa.array([], type=pa.int64())})
-    uniq, counts = np.unique(flatk, return_counts=True)
-    return pa.table({
-        "pair": pa.array(uniq.view(np.int64), type=pa.int64()),
-        "count_partial": pa.array(counts.astype(np.int64), type=pa.int64()),
-    })
+def _token_counts(batch: pa.Table, col: str) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct token hashes of the list column ``col`` of a features
+    batch (int64, sorted) and the number of entries holding each."""
+    arr = batch[col]
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    flat = np.asarray(arr.flatten()).astype(np.uint32, copy=False)
+    uniq, counts = np.unique(flat, return_counts=True)
+    # 32-bit token domain fits int64 directly (see featurize.TOKEN_MASK)
+    return uniq.astype(np.int64), counts.astype(np.int64)
 
 
-def build_wcooc(features: ray.data.Dataset,
-                cfg: PipelineConfig | None = None) -> ray.data.Dataset:
-    """packed (t1,t2) → windowed co-occurrence count (±ctx_window)."""
-    from ..functions.grouping import bucketed_sum
-
-    cfg = cfg or PipelineConfig()
-    w = cfg.ctx_window
-
-    def partial(t: pa.Table) -> pa.Table:
-        return _wcooc_partial(t, w)
-
-    p = features.map_batches(partial, batch_format="pyarrow", batch_size=512)
-    return bucketed_sum(p, ["pair"], "count_partial", "count")
-
-
-# --- fused flagship builds: same keys → ONE pass + ONE shuffle each ---------
-
-def _token_stats_fused_partial(batch: pa.Table) -> pa.Table:
-    """(token_hash, df_partial, occ_partial) in one pass: df from the
-    distinct per-conv token lists, occ from the ordered stream."""
-    import polars as pl
-
-    a = _token_stats_partial(batch)
-    b = _wfreq_partial(batch)
-    out = (
-        pl.concat([
-            pl.from_arrow(a).with_columns(pl.lit(0, dtype=pl.Int64)
-                                          .alias("occ_partial")),
-            pl.from_arrow(b)
-              .with_columns(pl.lit(0, dtype=pl.Int64).alias("df_partial"))
-              .select(["token_hash", "df_partial", "occ_partial"]),
-        ])
-        .group_by("token_hash")
-        .agg(pl.col("df_partial").sum(), pl.col("occ_partial").sum())
-    )
-    return out.to_arrow()
+def _token_stats_partial(batch: pa.Table) -> pa.Table:
+    """features batch → partial (token_hash, df_partial, occ_partial)
+    in one pass: df from the UNCAPPED per-conv distinct token lists the
+    featurizer already computed (``tokens_full``), occ from the ORDERED
+    stream (repeats counted — the corpus word-frequency analog of
+    WordFreqPerCorpus.scala:34-40, denominators of p̂(w))."""
+    dk, dc = _token_counts(batch, "tokens_full")
+    ok, oc = _token_counts(batch, "stream")
+    keys = np.union1d(dk, ok)
+    df = np.zeros(len(keys), dtype=np.int64)
+    occ = np.zeros(len(keys), dtype=np.int64)
+    df[np.searchsorted(keys, dk)] = dc
+    occ[np.searchsorted(keys, ok)] = oc
+    return pa.table({"token_hash": pa.array(keys, type=pa.int64()),
+                     "df_partial": pa.array(df), "occ_partial": pa.array(occ)})
 
 
 def build_token_stats(features: ray.data.Dataset,
@@ -228,7 +155,7 @@ def build_token_stats(features: ray.data.Dataset,
     from ..functions.grouping import bucketed_sum_multi
 
     partial = features.map_batches(
-        _token_stats_fused_partial, batch_format="pyarrow", batch_size=512,
+        _token_stats_partial, batch_format="pyarrow", batch_size=512,
     )
     return bucketed_sum_multi(partial, ["token_hash"],
                               {"df_partial": "df", "occ_partial": "occ"},
@@ -244,8 +171,8 @@ def _pair_stats_packed_partial(batch: pa.Table, cap: int,
     / < 2^32 (window count): lane sums then never carry.  A stop-pair
     would need > 4.3e9 window co-hits to break this — petabyte-corpus
     territory; such a build should shard the stats by corpus partition
-    (each shard's totals re-bounded) before union.  The floor-search
-    consumer warns at 2^31 (pipelines/linkage.py)."""
+    (each shard's totals re-bounded) before union.  ``broadcast_stats``
+    warns once a window count reaches its 2^20 histogram cap."""
     ck = _cooc_pair_keys(batch, cap)
     wk = _wcooc_pair_keys(batch, window)
     allk = np.concatenate([ck, wk]) if len(ck) or len(wk) else ck
@@ -270,7 +197,7 @@ def build_pair_stats(features: ray.data.Dataset,
 
     ``emit_min`` > 1 drops keys where BOTH final counts are below it
     INSIDE the aggregating bucket — the flagship passes its broadcast
-    floor (cooc_min_count) so global singletons (~half the key space at
+    floor (COOC_MIN_COUNT) so global singletons (~half the key space at
     bench scale) never leave the shuffle task."""
     from ..functions.grouping import hash_exchange
 
@@ -353,41 +280,21 @@ def _mention_prior_partial(batch: pa.Table, sample_mod: int = 1) -> pa.Table:
     })
 
 
-def build_mention_prior(conv_docs: ray.data.Dataset, sample_mod: int = 1):
-    """mention → (entity, freq, total); total = Σ freq over the mention."""
-
-    from ..functions.grouping import bucketed_sum
-
-    def partial_fn(t: pa.Table) -> pa.Table:
-        return _mention_prior_partial(t, sample_mod)
-
-    partial = conv_docs.map_batches(
-        partial_fn, batch_format="pyarrow", batch_size=512,
-    )
-    agg = bucketed_sum(partial, ["mention", "entity"], "freq_partial", "freq")
-
-    def _with_total(bucket: pa.Table) -> pa.Table:
-        import polars as pl
-
-        out = pl.from_arrow(bucket).with_columns(
-            pl.col("freq").sum().over("mention").alias("total")
-        )
-        return out.to_arrow()
-
-    from ..functions.grouping import hash_exchange
-
-    return hash_exchange(agg, "mention", _with_total)
-
-
 def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
                                  sample_mod: int = 1,
                                  *, num_buckets: int) -> ray.data.Dataset:
     """conv_docs → (entity, conc_e4) in ONE exchange: the mention→entity
     map is functional, so bucketing by entity co-locates each entity's
     whole mention group and the (mention,entity) sum AND the per-entity
-    concentration both run inside the bucket (the flagship path;
-    build_mention_prior/build_entity_prior remain the standalone
-    two-table operators)."""
+    concentration both run inside the bucket.
+
+    conc(e) = max_m freq(m→e) / Σ_m freq(m→e) ∈ (0, 1], scaled by 10⁴.
+    Because the map is functional (stem), the reference's p̂(e|m) =
+    freq/total (CandidatesList.scala:95-98) is degenerate per mention;
+    the informative marginal is how CONCENTRATED an entity's mention
+    distribution is — an entity reached by one dominant surface form is
+    stronger linkage evidence than one smeared over many variants.  The
+    scorer blends it into rho (prior_kappa + (1-prior_kappa)·conc)."""
     from ..functions.grouping import hash_exchange
 
     def partial_fn(t: pa.Table) -> pa.Table:
@@ -412,28 +319,81 @@ def build_entity_prior_from_docs(conv_docs: ray.data.Dataset,
     return hash_exchange(partial, "entity", conc, num_buckets)
 
 
-def build_entity_prior(mention_prior: ray.data.Dataset) -> ray.data.Dataset:
-    """mention_prior → per-ENTITY concentration table consumed by the
-    scorer: conc(e) = max_m freq(m→e) / Σ_m freq(m→e) ∈ (0, 1].
+# --- the broadcast: prune the three stats tables to the scorer's five ------
 
-    In this recast the mention→entity map is functional (stem), so the
-    reference's p̂(e|m) = freq/total (CandidatesList.scala:95-98) is
-    degenerate per mention; the informative marginal is how CONCENTRATED
-    an entity's mention distribution is — an entity reached by one
-    dominant surface form is stronger linkage evidence than one smeared
-    over many variants.  The scorer blends it into rho
-    (prior_kappa + (1-prior_kappa)·conc)."""
-    from ..functions.grouping import hash_exchange
+_HIST_CAP = 1 << 20
+_HIST_COOC_SCHEMA = pa.schema([("kind", pa.int8()), ("k", pa.int64()),
+                               ("v", pa.int64())])
+_WCOOC_SCHEMA = pa.schema([PAIR_STATS_SCHEMA.field("pair"),
+                           PAIR_STATS_SCHEMA.field("count_win")])
 
-    def conc(bucket: pa.Table) -> pa.Table:
-        import polars as pl
 
-        out = (
-            pl.from_arrow(bucket).group_by("entity")
-            .agg((pl.col("freq").max() * 10000 // pl.col("freq").sum())
-                 .alias("conc_e4"))
-        )
-        return out.to_arrow()
+def _win_hist_and_cooc(t: pa.Table) -> pa.Table:
+    """pair-stats block → kind-0 rows (count_win bin, #pairs; nonzero
+    bins only, counts capped at ``_HIST_CAP``) + kind-1 rows (pair,
+    count_conv) of the conv-cooc residue ≥ COOC_MIN_COUNT."""
+    wc = np.minimum(np.asarray(t["count_win"], dtype=np.int64), _HIST_CAP)
+    h = np.bincount(wc)
+    nz = np.flatnonzero(h)
+    cc = np.asarray(t["count_conv"], dtype=np.int64)
+    keep = cc >= COOC_MIN_COUNT
+    pk = np.asarray(t["pair"], dtype=np.int64)[keep]
+    kind = np.concatenate([np.zeros(len(nz), dtype=np.int8),
+                           np.ones(len(pk), dtype=np.int8)])
+    ks = np.concatenate([nz.astype(np.int64), pk])
+    vs = np.concatenate([h[nz].astype(np.int64), cc[keep]])
+    return pa.table({"kind": pa.array(kind, type=pa.int8()),
+                     "k": pa.array(ks), "v": pa.array(vs)})
 
-    return hash_exchange(
-        mention_prior.select_columns(["entity", "freq"]), "entity", conc)
+
+def broadcast_stats(token_stats: ray.data.Dataset,
+                    pair_stats: ray.data.Dataset,
+                    prior: ray.data.Dataset, n_convs: int) -> BroadcastStats:
+    """The three stats tables → the scorer's broadcast ``BroadcastStats``.
+
+    Stats are the small side: every table is PRUNED in the dataset and
+    only the residue is collected driver-side.  df==1 tokens can never
+    be shared by a pair (one conv holds them) and the scorer's
+    missing-token default IS df=1, so the vocab prune is exact; so is
+    the prior prune, since conc_e4 == 10000 is the scorer's
+    missing-entity default.  Cooc pairs below the count floor collapse
+    to the scorer's missing-pair default of 0 — at 100 TB these prunes
+    keep the broadcast bounded (reference analog: the min-word-count-20
+    floor of context/WordFreqPerCorpus.scala:38 and the freq>=3 load
+    filter of index/WordEntityProbsIndex.scala:104).
+
+    ``pair_stats`` stays DISTRIBUTED (at bench scale the unfloored
+    table is 23M rows) and is scanned twice: ONE fused scan yields the
+    histogram of count_win (O(distinct counts) rows) and the conv-cooc
+    residue, whose floor is known up front; the windowed-cooc floor is
+    then raised until the residue fits WCOOC_MAX_PAIRS (whole tie levels
+    kept) and a second, filtered scan collects it.  A caller without a
+    Parquet copy of ``pair_stats`` should pass it materialized."""
+    tok = _collect(token_stats.filter(expr="df >= 2 or occ >= 2"),
+                   TOKEN_STATS_SCHEMA)
+    prior_tbl = _collect(prior.filter(expr="conc_e4 < 10000"), PRIOR_SCHEMA)
+
+    fused = _collect(pair_stats.map_batches(_win_hist_and_cooc,
+                                            batch_format="pyarrow"),
+                     _HIST_COOC_SCHEMA)
+    is_bin = np.asarray(fused["kind"]) == 0
+    k, v = np.asarray(fused["k"]), np.asarray(fused["v"])
+    hist = np.zeros(_HIST_CAP + 1, dtype=np.int64)
+    np.add.at(hist, k[is_bin], v[is_bin])
+    if hist[_HIST_CAP] > 0:
+        # packed-lane combiner bound (build_pair_stats): counts near 2^31
+        # would carry between lanes — surface loudly rather than corrupt
+        warnings.warn("count_win at histogram cap; verify packed-lane "
+                      "bound (build_pair_stats) for this corpus")
+    tail = np.cumsum(hist[::-1])[::-1]     # tail[c] = #pairs count_win>=c
+    floor = max(COOC_MIN_COUNT,
+                int(np.searchsorted(-tail, -WCOOC_MAX_PAIRS)))
+    wcooc = _collect(pair_stats.filter(expr=f"count_win >= {floor}"),
+                     _WCOOC_SCHEMA)
+
+    df, occ = np.asarray(tok["df"]), np.asarray(tok["occ"])
+    return BroadcastStats(
+        vocab=tok.select(["token_hash", "df"]).filter(df >= 2),
+        cooc=pa.table({"pair": k[~is_bin], "count_conv": v[~is_bin]}),
+        wfreq=tok.select(["token_hash", "occ"]).filter(occ >= 2),
+        wcooc=wcooc, prior=prior_tbl, n_docs=n_convs)

@@ -1,7 +1,10 @@
 """Distributed connected components vs the single-process union-find oracle
 (FIXTURES.md §3 oracle pattern)."""
 
+import sys
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
@@ -150,3 +153,36 @@ def test_recluster_touched_region_and_upsert(ray_session):
     assert rc.region["conv_id"].to_pylist() == list("abcdefx")
     assert rc.region["prior_id"].to_pylist() == \
         ["a", "a", "a", "d", "d", "f", None]
+
+
+def test_collect_fetches_only_declared_columns(ray_session, monkeypatch):
+    """Blocks wider than the declared schema are projected where they
+    live: the driver's fetch receives only the declared columns."""
+    import pandas as pd
+
+    from pboh_entity_linking_ray.stages import clustering
+
+    wide = pa.table({"conv_a": ["a", "b"], "conv_b": ["c", "d"],
+                     "tokens": [b"x" * 64, b"y" * 64],
+                     "is_match": [True, False]})
+    ds = rd.from_arrow([wide, wide.slice(1)]).union(
+        rd.from_pandas(pd.DataFrame({"conv_a": ["e"], "conv_b": ["f"],
+                                     "score": [0.5], "is_match": [True]})))
+    schema = pa.schema([("conv_a", pa.string()), ("conv_b", pa.string()),
+                        ("is_match", pa.bool_())])
+    fetched = []
+    get = ray.get
+
+    def spy(refs, *args, **kwargs):
+        out = get(refs, *args, **kwargs)
+        if sys._getframe(1).f_code is clustering._collect.__code__:
+            fetched.extend(out)
+        return out
+
+    monkeypatch.setattr(clustering.ray, "get", spy)
+    got = clustering._collect(ds, schema)
+    assert len(fetched) == 3
+    assert all(b.column_names == schema.names for b in fetched)
+    assert got.sort_by("conv_a").to_pydict() == {
+        "conv_a": ["a", "b", "b", "e"], "conv_b": ["c", "d", "d", "f"],
+        "is_match": [True, False, False, True]}
